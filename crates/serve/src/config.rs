@@ -425,11 +425,11 @@ pub fn route_hash(key: u64) -> u64 {
 /// determinism contract: the latency feeding the p95 trigger goes through a
 /// clock abstraction — the virtual [`crate::sim::ServiceModel`] clock in the
 /// simulator *and* in the threaded pool's lockstep mode
-/// (`ReplicaPool::start_lockstep`), where the coordination gate records
-/// virtual latencies into the same fixed-bucket histogram. Only the
-/// free-running threaded pool (`start`/`start_paused`) measures p95 on the
-/// wall clock, so only that driver's p95 trigger timing is outside the
-/// contract.
+/// (`ReplicaPool::start_lockstep`), which runs the simulator's own pool
+/// core and so records virtual latencies into the same fixed-bucket
+/// histogram. Only the free-running threaded pool (`start`/`start_paused`)
+/// measures p95 on the wall clock, so only that driver's p95 trigger timing
+/// is outside the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptivePolicy {
     /// Escalate one rung when the queue depth left behind a launched batch

@@ -30,8 +30,9 @@
 //! configuration): windows roll on arrival timestamps, utilization is
 //! integer arithmetic over the [`crate::sim::ServiceModel`]'s per-rung
 //! service costs, and steal targets derive from queue depths with explicit
-//! tie-breaks. Both drivers — the discrete-event simulator and the threaded
-//! lockstep pool — call the controller at the same lifecycle points, so
+//! tie-breaks. The controller lives in the virtual-clock pool core that both
+//! drivers — the discrete-event simulator and the threaded lockstep pool —
+//! share, so it is called at the same lifecycle points in both, and
 //! autoscale events, steal events, and predictive transitions are part of
 //! the extended lockstep bit-identical contract (`serve_determinism.rs`).
 

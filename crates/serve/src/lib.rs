@@ -69,6 +69,7 @@ pub mod control;
 pub mod faults;
 pub mod metrics;
 pub mod pool;
+mod pool_core;
 pub mod queue;
 pub mod registry;
 pub mod server;

@@ -17,27 +17,30 @@
 //!
 //! Routing is decided at submission time from the submission sequence and
 //! the per-replica queue depths alone, so a single-threaded submitter drives
-//! all three policies deterministically.
+//! every policy deterministically.
 //!
-//! The pool runs in one of three modes:
+//! The pool runs on one of two clocks:
 //!
-//! - **Free-running** ([`ReplicaPool::start`] / [`ReplicaPool::start_paused`]):
-//!   each worker drains its own queue on the wall clock. The p95 adaptive
-//!   trigger observes real tail latency here, so its *timing* is outside the
-//!   lockstep contract (batch composition and routing still replay).
-//! - **Lockstep** ([`ReplicaPool::start_lockstep`]): a coordination gate owns
-//!   a virtual clock ([`ServiceModel`]) and grants batch launches in exactly
-//!   the simulator's event order, while the granted GEMMs still execute on
-//!   real threads in parallel. Latencies are recorded in virtual time, so
-//!   **both** adaptive triggers — depth *and* p95 — replay bit-identically
-//!   against [`crate::sim::simulate_pool_faulted`], as do fault schedules,
-//!   crash handoffs, and every quantile of the latency histogram.
-//! - **Live-faulted** ([`ReplicaPool::start_with_faults`]): the free-running
-//!   loop with a [`FaultPlan`] injected — crashes kill workers for real
-//!   (queues drain through the shared handoff rule), stalls sleep, and
-//!   stragglers pad service time. This is the mode the availability bench
-//!   drives with retrying/hedging clients.
+//! - **Free-running** ([`ReplicaPool::start`], [`ReplicaPool::start_paused`],
+//!   [`ReplicaPool::start_with_faults`]): each worker drains its own queue
+//!   on the wall clock. The p95 adaptive trigger observes real tail latency
+//!   here, so its *timing* is outside the lockstep contract (batch
+//!   composition and routing still replay). An injected [`FaultPlan`]
+//!   applies for real — crashes kill workers (queues drain through the
+//!   shared handoff rule), stalls sleep, and stragglers pad service time;
+//!   this is the mode the availability bench drives with retrying/hedging
+//!   clients. Without a plan every worker runs the same loop with an empty
+//!   schedule.
+//! - **Lockstep** ([`ReplicaPool::start_lockstep`]): the workers share one
+//!   virtual-clock pool core — the simulator's own state machine — under a
+//!   lock. It grants batch launches in exactly the simulator's event order,
+//!   while the granted GEMMs still execute on real threads in parallel.
+//!   Latencies are recorded in virtual time, so **both** adaptive triggers
+//!   — depth *and* p95 — replay bit-identically against
+//!   [`crate::sim::simulate_pool_faulted`], as do fault schedules, crash
+//!   handoffs, and every quantile of the latency histogram.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -47,13 +50,13 @@ use nbsmt_tensor::exec::{ExecConfig, ExecContext};
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
-use crate::config::ServeError;
 use crate::config::{
-    AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, SubmitError, BATCH_LOG_CAP,
+    AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, ServeError, SubmitError, BATCH_LOG_CAP,
 };
-use crate::control::{ControlConfig, ControlEvent, ControlEventKind, PoolController};
+use crate::control::{ControlConfig, ControlEvent};
 use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::pool_core::{Launched, PoolCore};
 use crate::queue::{response_channel, BoundedQueue, ResponseHandle, ResponseSlot};
 use crate::server::RequestResult;
 use crate::session::Session;
@@ -136,18 +139,18 @@ struct RouterCore {
 }
 
 impl RouterCore {
+    /// Whether replica `i` is alive and admitting.
+    fn eligible(&self, i: usize) -> bool {
+        self.alive[i].load(Ordering::Acquire) && !self.queues[i].is_admissions_closed()
+    }
+
     /// Routes a key among the alive, admitting replicas through the shared
     /// [`pick_replica`] arithmetic (with every replica eligible this is
     /// exactly the fault-free router), or `None` when none is eligible.
     fn pick(&self, key: u64) -> Option<usize> {
-        let eligible: Vec<(usize, usize)> = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|(i, queue)| {
-                self.alive[*i].load(Ordering::Acquire) && !queue.is_admissions_closed()
-            })
-            .map(|(i, queue)| (i, queue.len()))
+        let eligible: Vec<(usize, usize)> = (0..self.queues.len())
+            .filter(|&i| self.eligible(i))
+            .map(|i| (i, self.queues[i].len()))
             .collect();
         // The round-robin counter ticks per routed submission regardless of
         // the eligible-set size — the same clock the simulator advances.
@@ -206,6 +209,9 @@ impl PoolClient {
     }
 }
 
+/// What a free-running worker leaves behind (lockstep workers leave an
+/// empty one; their state lives in the gate's core).
+#[derive(Default)]
 struct ReplicaOutcome {
     metrics: ServeMetrics,
     transitions: Vec<ModeTransition>,
@@ -215,33 +221,17 @@ struct ReplicaOutcome {
     dropped_transitions: u64,
 }
 
-impl ReplicaOutcome {
-    /// The placeholder a lockstep worker returns — all deterministic state
-    /// lives in the gate and is pulled from there at shutdown.
-    fn empty() -> ReplicaOutcome {
-        ReplicaOutcome {
-            metrics: ServeMetrics::new(),
-            transitions: Vec::new(),
-            log: Vec::new(),
-            handoffs: Vec::new(),
-            dropped_batches: 0,
-            dropped_transitions: 0,
-        }
-    }
-}
-
 struct Replica {
     queue: Arc<BoundedQueue<PooledRequest>>,
     worker: Option<JoinHandle<ReplicaOutcome>>,
 }
 
-/// How the pool's workers consume their queues (see the module docs).
+/// Which clock the pool's workers run on (see the module docs).
 enum FaultMode {
-    /// Free-running wall-clock workers, no fault machinery.
-    None,
-    /// Free-running workers with a [`FaultPlan`] injected for real.
+    /// Free-running wall-clock workers with `plan` injected for real
+    /// ([`FaultPlan::none`] when no faults were asked for).
     Live {
-        faults: Vec<ReplicaFaults>,
+        plan: FaultPlan,
         service: ServiceModel,
     },
     /// Virtual-clock coordination gate; workers only execute granted GEMMs.
@@ -329,7 +319,10 @@ impl ReplicaPool {
             config,
             exec,
             record_log,
-            mode: FaultMode::None,
+            mode: FaultMode::Live {
+                plan: FaultPlan::none(),
+                service: ServiceModel::default(),
+            },
             recorder: None,
             started: Instant::now(),
             running: false,
@@ -366,9 +359,7 @@ impl ReplicaPool {
     ) -> Result<ReplicaPool, ServeError> {
         let mut pool = Self::start_paused(sessions, config, exec, false)?;
         pool.mode = FaultMode::Live {
-            faults: (0..pool.replicas.len())
-                .map(|r| plan.for_replica(r))
-                .collect(),
+            plan: plan.clone(),
             service,
         };
         pool.resume();
@@ -396,48 +387,14 @@ impl ReplicaPool {
         service: ServiceModel,
         plan: &FaultPlan,
     ) -> Result<ReplicaPool, ServeError> {
-        let mut pool = Self::start_paused(sessions, config, exec, record_log)?;
-        let n = pool.replicas.len();
-        let ladder = pool.sessions.len();
-        let gate = LockstepGate {
-            state: Mutex::new(GateState {
-                queues: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
-                pending: std::collections::VecDeque::new(),
-                rr: 0,
-                t_free: vec![0; n],
-                batches: vec![0; n],
-                crashed: vec![false; n],
-                closed: vec![false; n],
-                adaptive: (0..n)
-                    .map(|r| AdaptiveState::new(pool.config.adaptive, r, ladder))
-                    .collect(),
-                faults: (0..n).map(|r| plan.for_replica(r)).collect(),
-                metrics: (0..n).map(|_| ServeMetrics::new()).collect(),
-                log: Vec::new(),
-                dropped_batches: 0,
-                handoffs: Vec::new(),
-                recorder: None,
-                controller: None,
-            }),
-            cv: Condvar::new(),
-            max_batch: pool.config.scheduler.batch.max_batch,
-            max_wait_ns: pool.config.scheduler.batch.max_wait_ns,
-            capacity: pool.config.scheduler.queue_capacity,
-            route: pool.config.route,
-            service,
-            record_log,
-        };
-        pool.mode = FaultMode::Lockstep {
-            gate: Arc::new(gate),
-        };
-        Ok(pool)
+        Self::start_gated(sessions, config, exec, record_log, service, plan, None)
     }
 
-    /// [`Self::start_lockstep`] plus a pool-level [`PoolController`]: the
-    /// gate calls the controller at the simulator's exact lifecycle points
-    /// (arrival admission, batch launch, post-batch steal check), so
-    /// autoscale events, steal events, and predictive mode transitions
-    /// replay bit-identically against
+    /// [`Self::start_lockstep`] plus a pool-level
+    /// [`crate::control::PoolController`] in the shared core, called at the
+    /// simulator's exact lifecycle points (arrival admission, batch launch,
+    /// post-batch steal check), so autoscale events, steal events, and
+    /// predictive mode transitions replay bit-identically against
     /// [`crate::sim::simulate_pool_controlled`] on the same timed trace.
     ///
     /// # Errors
@@ -454,13 +411,47 @@ impl ReplicaPool {
         plan: &FaultPlan,
         control: ControlConfig,
     ) -> Result<ReplicaPool, ServeError> {
-        let pool = Self::start_lockstep(sessions, config, exec, record_log, service, plan)?;
-        let rung_work_ns: Vec<u64> = pool.sessions.iter().map(|s| service.single_ns(s)).collect();
-        let controller = PoolController::new(control, rung_work_ns, pool.replicas.len())?;
-        let FaultMode::Lockstep { gate } = &pool.mode else {
-            unreachable!("start_lockstep always yields a lockstep pool");
+        Self::start_gated(
+            sessions,
+            config,
+            exec,
+            record_log,
+            service,
+            plan,
+            Some(control),
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn start_gated(
+        sessions: Vec<Arc<Session>>,
+        config: PoolConfig,
+        exec: ExecConfig,
+        record_log: bool,
+        service: ServiceModel,
+        plan: &FaultPlan,
+        control: Option<ControlConfig>,
+    ) -> Result<ReplicaPool, ServeError> {
+        let mut pool = Self::start_paused(sessions, config, exec, record_log)?;
+        let core = PoolCore::new(
+            &pool.sessions,
+            &config,
+            config.scheduler.queue_capacity,
+            service,
+            control,
+            Some(plan),
+            record_log,
+        )?;
+        pool.mode = FaultMode::Lockstep {
+            gate: Arc::new(LockstepGate {
+                state: Mutex::new(GateState {
+                    core,
+                    pending: VecDeque::new(),
+                    recorder: None,
+                }),
+                cv: Condvar::new(),
+            }),
         };
-        gate.state.lock().expect("gate lock").controller = Some(controller);
         Ok(pool)
     }
 
@@ -475,93 +466,53 @@ impl ReplicaPool {
             return;
         }
         self.running = true;
-        enum Spawn {
-            Normal,
-            Live(Vec<ReplicaFaults>, ServiceModel),
-            Lockstep(Arc<LockstepGate>),
-        }
-        let plan = match &self.mode {
-            FaultMode::None => Spawn::Normal,
-            FaultMode::Live { faults, service } => Spawn::Live(faults.clone(), *service),
-            FaultMode::Lockstep { gate } => Spawn::Lockstep(Arc::clone(gate)),
-        };
-        if let Spawn::Lockstep(gate) = &plan {
+        if let FaultMode::Lockstep { gate } = &self.mode {
             let mut state = gate.state.lock().expect("gate lock");
-            state.recorder = self.recorder.clone();
+            let GateState { core, recorder, .. } = &mut *state;
+            *recorder = self.recorder.clone();
             for (index, replica) in self.replicas.iter().enumerate() {
+                // The burst arrives at virtual t = 0 on the replica the
+                // router already picked — the same submit instant the
+                // simulator records for an all-at-zero arrival trace.
                 for req in replica.queue.drain_up_to(usize::MAX) {
-                    // The burst arrives at virtual t = 0 on the replica the
-                    // router already picked — the same submit instant the
-                    // simulator records for an all-at-zero arrival trace.
-                    if let Some(rec) = &self.recorder {
-                        rec.record(
-                            TraceEvent::new(TraceStage::Submit, index, 0, 0).request(req.key),
-                        );
-                    }
-                    state.queues[index].push_back(GateRequest {
-                        req,
-                        ready_v: 0,
-                        submit_v: 0,
-                    });
+                    core.enqueue(index, 0, req.key, req.key, req, recorder.as_deref());
                 }
                 replica.queue.close();
             }
         }
         for (index, replica) in self.replicas.iter_mut().enumerate() {
-            let queue = Arc::clone(&replica.queue);
             let sessions = Arc::clone(&self.sessions);
-            let scheduler = self.config.scheduler;
-            let adaptive = self.config.adaptive;
             let exec = self.exec;
-            let record_log = self.record_log;
-            let router = Arc::clone(&self.router);
             let recorder = self.recorder.clone();
-            let worker = match &plan {
-                Spawn::Normal => std::thread::Builder::new()
-                    .name(format!("nbsmt-pool-{index}"))
-                    .spawn(move || {
+            let builder = std::thread::Builder::new().name(format!("nbsmt-pool-{index}"));
+            let worker = match &self.mode {
+                FaultMode::Live { plan, service } => {
+                    let router = Arc::clone(&self.router);
+                    let config = self.config;
+                    let record_log = self.record_log;
+                    let faults = plan.for_replica(index);
+                    let service = *service;
+                    builder.spawn(move || {
                         let ctx = ExecContext::new(exec);
-                        replica_loop(
+                        free_running_loop(
                             index,
-                            &queue,
+                            &router,
                             &sessions,
-                            &scheduler,
-                            adaptive,
+                            &config,
                             &ctx,
                             record_log,
+                            &faults,
+                            service,
                             recorder.as_deref(),
                         )
-                    }),
-                Spawn::Live(faults, service) => {
-                    let faults = faults[index].clone();
-                    let service = *service;
-                    std::thread::Builder::new()
-                        .name(format!("nbsmt-pool-{index}"))
-                        .spawn(move || {
-                            let ctx = ExecContext::new(exec);
-                            replica_loop_faulted(
-                                index,
-                                &queue,
-                                &sessions,
-                                &scheduler,
-                                adaptive,
-                                &ctx,
-                                record_log,
-                                &router,
-                                &faults,
-                                service,
-                                recorder.as_deref(),
-                            )
-                        })
+                    })
                 }
-                Spawn::Lockstep(gate) => {
+                FaultMode::Lockstep { gate } => {
                     let gate = Arc::clone(gate);
-                    std::thread::Builder::new()
-                        .name(format!("nbsmt-pool-{index}"))
-                        .spawn(move || {
-                            let ctx = ExecContext::new(exec);
-                            lockstep_loop(index, &gate, &sessions, &ctx, recorder.as_deref())
-                        })
+                    builder.spawn(move || {
+                        let ctx = ExecContext::new(exec);
+                        lockstep_loop(index, &gate, &sessions, &ctx, recorder.as_deref())
+                    })
                 }
             }
             .expect("spawning a replica worker succeeds");
@@ -644,6 +595,52 @@ impl ReplicaPool {
             replica.queue.close();
         }
         let elapsed = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let mut outcomes: Vec<ReplicaOutcome> = self
+            .replicas
+            .iter_mut()
+            .map(|replica| {
+                replica
+                    .worker
+                    .take()
+                    .expect("worker present until shutdown")
+                    .join()
+                    .expect("replica worker exits cleanly")
+            })
+            .collect();
+        let mut control_events = Vec::new();
+        let mut dropped_control_events = 0u64;
+        let mut replica_ns = (self.replicas.len() as u64).saturating_mul(elapsed);
+        if let FaultMode::Lockstep { gate } = &self.mode {
+            // The deterministic state lives in the gate's core, not the
+            // (empty) worker outcomes; its logs are pool-wide, so they ride
+            // on replica 0's outcome. Replica-seconds are virtual.
+            let core = gate.state.lock().expect("gate lock").core.finish();
+            outcomes = core
+                .metrics
+                .into_iter()
+                .map(|metrics| ReplicaOutcome {
+                    metrics,
+                    ..ReplicaOutcome::default()
+                })
+                .collect();
+            outcomes[0].transitions = core.transitions;
+            outcomes[0].dropped_transitions = core.dropped_transitions;
+            outcomes[0].log = core
+                .batches
+                .into_iter()
+                .map(|b| PoolBatchLog {
+                    replica: b.replica,
+                    mode: b.mode,
+                    keys: b.request_ids,
+                    queue_depth_after: b.queue_depth_after,
+                })
+                .collect();
+            outcomes[0].dropped_batches = core.dropped_batches;
+            outcomes[0].handoffs = core.handoffs;
+            control_events = core.control_events;
+            dropped_control_events = core.dropped_control_events;
+            replica_ns = core.replica_ns;
+        }
         let mut total = ServeMetrics::new();
         let mut per_replica = Vec::new();
         let mut transitions = Vec::new();
@@ -651,60 +648,6 @@ impl ReplicaPool {
         let mut handoffs = Vec::new();
         let mut dropped_batches = 0u64;
         let mut dropped_transitions = 0u64;
-        let mut control_events = Vec::new();
-        let mut dropped_control_events = 0u64;
-        let mut replica_ns = (self.replicas.len() as u64).saturating_mul(elapsed);
-        let mut outcomes = Vec::new();
-        for replica in self.replicas.iter_mut() {
-            outcomes.push(
-                replica
-                    .worker
-                    .take()
-                    .expect("worker present until shutdown")
-                    .join()
-                    .expect("replica worker exits cleanly"),
-            );
-        }
-        if let FaultMode::Lockstep { gate } = &self.mode {
-            // The deterministic state lives in the gate, not the worker
-            // outcomes (which are empty placeholders in lockstep mode).
-            let mut state = gate.state.lock().expect("gate lock");
-            outcomes = state
-                .metrics
-                .drain(..)
-                .map(|metrics| ReplicaOutcome {
-                    metrics,
-                    transitions: Vec::new(),
-                    log: Vec::new(),
-                    handoffs: Vec::new(),
-                    dropped_batches: 0,
-                    dropped_transitions: 0,
-                })
-                .collect();
-            for adaptive in state.adaptive.drain(..) {
-                dropped_transitions += adaptive.dropped_transitions();
-                transitions.extend(adaptive.into_transitions());
-            }
-            batch_log = std::mem::take(&mut state.log);
-            dropped_batches += state.dropped_batches;
-            handoffs = std::mem::take(&mut state.handoffs);
-            // Lockstep accounting is virtual: replica-seconds integrate over
-            // the virtual makespan (max finish time), exactly as the
-            // simulator's outcome does — the controller refines that with
-            // its scale-event log.
-            let makespan = state.t_free.iter().copied().max().unwrap_or(0);
-            match state.controller.take() {
-                Some(mut ctrl) => {
-                    replica_ns = ctrl.finalize_replica_ns(makespan);
-                    let (events, dropped) = ctrl.into_events();
-                    control_events = events;
-                    dropped_control_events = dropped;
-                }
-                None => {
-                    replica_ns = (self.replicas.len() as u64).saturating_mul(makespan);
-                }
-            }
-        }
         for (index, mut outcome) in outcomes.into_iter().enumerate() {
             outcome.metrics.rejected += self.router.rejected[index].load(Ordering::Relaxed);
             total.merge(&outcome.metrics);
@@ -743,71 +686,9 @@ impl Drop for ReplicaPool {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replica_loop(
-    index: usize,
-    queue: &BoundedQueue<PooledRequest>,
-    sessions: &[Arc<Session>],
-    scheduler: &crate::config::SchedulerConfig,
-    adaptive: crate::config::AdaptivePolicy,
-    ctx: &ExecContext,
-    record_log: bool,
-    recorder: Option<&TraceRecorder>,
-) -> ReplicaOutcome {
-    let mut metrics = ServeMetrics::new();
-    let mut state = AdaptiveState::new(adaptive, index, sessions.len());
-    let mut log = Vec::new();
-    let mut dropped_batches = 0u64;
-    let mut batch_index = 0u64;
-    let max_batch = scheduler.batch.max_batch;
-    let max_wait = Duration::from_nanos(scheduler.batch.max_wait_ns);
-    while let Some(first) = queue.pop_blocking() {
-        let deadline = first.submitted + max_wait;
-        let batch = queue.collect_batch(first, max_batch, deadline);
-        let depth_after = queue.len();
-        let mode = state.mode();
-        metrics.record_batch(batch.len(), depth_after);
-        metrics.record_mode_batch(mode);
-        batch_index += 1;
-        if record_log {
-            if log.len() < BATCH_LOG_CAP {
-                log.push(PoolBatchLog {
-                    replica: index,
-                    mode,
-                    keys: batch.iter().map(|r| r.key).collect(),
-                    queue_depth_after: depth_after,
-                });
-            } else {
-                dropped_batches += 1;
-            }
-        }
-        let trace = recorder.map(|rec| BatchTraceCtx {
-            recorder: rec,
-            replica: index,
-            batch_index,
-            mode,
-        });
-        crate::server::execute_batch(&sessions[mode], ctx, batch, &mut metrics, trace.as_ref());
-        // Policy evaluation runs after the batch's latencies landed in the
-        // histogram; a switch applies from the next batch on.
-        let p95 = metrics.latency.quantile(0.95);
-        if state.observe_batch(depth_after, p95).is_some() {
-            metrics.record_transition();
-        }
-    }
-    ReplicaOutcome {
-        metrics,
-        dropped_transitions: state.dropped_transitions(),
-        transitions: state.into_transitions(),
-        log,
-        handoffs: Vec::new(),
-        dropped_batches,
-    }
-}
-
-/// The free-running worker loop with a fault schedule injected for real:
-/// identical to [`replica_loop`] batch-for-batch, plus the replica-local
-/// 1-based batch clock the [`ReplicaFaults`] cursor consumes. Straggle
+/// The free-running worker loop on the wall clock, with the replica's
+/// fault schedule applied for real (an empty schedule changes nothing).
+/// `faults` is consumed on the replica-local 1-based batch clock: straggle
 /// windows sleep out the extra service time the factor implies, stalls
 /// sleep, a queue close half-closes admissions (queued work still drains),
 /// and a crash kills the worker: it un-registers from the router *first*,
@@ -815,73 +696,79 @@ fn replica_loop(
 /// shared [`pick_handoff_target`] rule — or sheds it (dropping the slot
 /// cancels the request, so no client ever hangs on a dead replica).
 #[allow(clippy::too_many_arguments)]
-fn replica_loop_faulted(
+fn free_running_loop(
     index: usize,
-    queue: &BoundedQueue<PooledRequest>,
+    router: &RouterCore,
     sessions: &[Arc<Session>],
-    scheduler: &crate::config::SchedulerConfig,
-    adaptive: crate::config::AdaptivePolicy,
+    config: &PoolConfig,
     ctx: &ExecContext,
     record_log: bool,
-    router: &RouterCore,
     faults: &ReplicaFaults,
     service: ServiceModel,
     recorder: Option<&TraceRecorder>,
 ) -> ReplicaOutcome {
-    let mut metrics = ServeMetrics::new();
-    let mut state = AdaptiveState::new(adaptive, index, sessions.len());
-    let mut log = Vec::new();
-    let mut dropped_batches = 0u64;
-    let mut handoffs = Vec::new();
+    let queue = &router.queues[index];
+    let mut out = ReplicaOutcome::default();
+    let mut state = AdaptiveState::new(config.adaptive, index, sessions.len());
     let mut batch_index = 0u64;
-    let max_batch = scheduler.batch.max_batch;
-    let max_wait = Duration::from_nanos(scheduler.batch.max_wait_ns);
+    let max_batch = config.scheduler.batch.max_batch;
+    let max_wait = Duration::from_nanos(config.scheduler.batch.max_wait_ns);
     while let Some(first) = queue.pop_blocking() {
         batch_index += 1;
         let deadline = first.submitted + max_wait;
         let batch = queue.collect_batch(first, max_batch, deadline);
         let depth_after = queue.len();
         let mode = state.mode();
-        let batch_len = batch.len();
-        let batch_keys: Vec<u64> = batch.iter().map(|r| r.key).collect();
-        metrics.record_batch(batch_len, depth_after);
-        metrics.record_mode_batch(mode);
+        out.metrics.record_batch(batch.len(), depth_after);
+        out.metrics.record_mode_batch(mode);
         if record_log {
-            if log.len() < BATCH_LOG_CAP {
-                log.push(PoolBatchLog {
+            if out.log.len() < BATCH_LOG_CAP {
+                out.log.push(PoolBatchLog {
                     replica: index,
                     mode,
                     keys: batch.iter().map(|r| r.key).collect(),
                     queue_depth_after: depth_after,
                 });
             } else {
-                dropped_batches += 1;
+                out.dropped_batches += 1;
             }
         }
+        // A straggler pads the batch with the *extra* time the factor
+        // implies over the service model's size-aware nominal cost.
+        let factor = faults.service_factor_x1024(batch_index);
+        let straggle_ns = if factor > 1024 {
+            (service.batch_ns(&sessions[mode], batch.iter().map(|r| r.key)) as u128
+                * (factor - 1024) as u128
+                / 1024)
+                .min(u128::from(u64::MAX)) as u64
+        } else {
+            0
+        };
         let trace = recorder.map(|rec| BatchTraceCtx {
             recorder: rec,
             replica: index,
             batch_index,
             mode,
         });
-        crate::server::execute_batch(&sessions[mode], ctx, batch, &mut metrics, trace.as_ref());
-        let factor = faults.service_factor_x1024(batch_index);
-        if factor > 1024 {
-            // The straggler pads the batch with the *extra* time the factor
-            // implies over the service model's size-aware nominal cost.
-            let extra = (service.batch_ns(&sessions[mode], batch_keys.iter().copied()) as u128
-                * (factor - 1024) as u128
-                / 1024)
-                .min(u128::from(u64::MAX)) as u64;
-            std::thread::sleep(Duration::from_nanos(extra));
+        execute_batch(
+            &sessions[mode],
+            ctx,
+            batch,
+            &mut out.metrics,
+            trace.as_ref(),
+        );
+        if straggle_ns > 0 {
+            std::thread::sleep(Duration::from_nanos(straggle_ns));
         }
-        let p95 = metrics.latency.quantile(0.95);
+        // Policy evaluation runs after the batch's latencies landed in the
+        // histogram; a switch applies from the next batch on.
+        let p95 = out.metrics.latency.quantile(0.95);
         if state.observe_batch(depth_after, p95).is_some() {
-            metrics.record_transition();
+            out.metrics.record_transition();
         }
         let post = faults.after_batch(batch_index);
         if post.stall_ns > 0 {
-            metrics.record_stall();
+            out.metrics.record_stall();
             std::thread::sleep(Duration::from_nanos(post.stall_ns));
         }
         if post.close_queue {
@@ -892,40 +779,23 @@ fn replica_loop_faulted(
             // submission races into a queue about to drain.
             router.alive[index].store(false, Ordering::Release);
             queue.close_admissions();
-            metrics.record_crash();
-            let orphans = queue.drain_up_to(usize::MAX);
+            out.metrics.record_crash();
             let mut cursor = (index + 1) % router.queues.len();
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = router
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        (
-                            router.alive[i].load(Ordering::Acquire) && !q.is_admissions_closed(),
-                            q.len(),
-                        )
-                    })
+            for orphan in queue.drain_up_to(usize::MAX) {
+                let states: Vec<(bool, usize)> = (0..router.queues.len())
+                    .map(|i| (router.eligible(i), router.queues[i].len()))
                     .collect();
                 let key = orphan.key;
                 let target = pick_handoff_target(index, &mut cursor, &states, queue.capacity());
-                let to_replica = match target {
-                    Some(t) => {
-                        if router.queues[t].try_push(orphan).is_ok() {
-                            metrics.record_handoff();
-                            Some(t)
-                        } else {
-                            // Raced to full/closed: the drop cancels it.
-                            metrics.record_handoff_shed();
-                            None
-                        }
-                    }
-                    None => {
-                        metrics.record_handoff_shed();
-                        None
-                    }
-                };
-                handoffs.push(HandoffRecord {
+                // A target that raced to full or closed drops the orphan,
+                // which cancels it.
+                let to_replica = target.filter(|&t| router.queues[t].try_push(orphan).is_ok());
+                if to_replica.is_some() {
+                    out.metrics.record_handoff();
+                } else {
+                    out.metrics.record_handoff_shed();
+                }
+                out.handoffs.push(HandoffRecord {
                     from_replica: index,
                     at_batch: batch_index,
                     key,
@@ -935,24 +805,104 @@ fn replica_loop_faulted(
             break;
         }
     }
-    ReplicaOutcome {
-        metrics,
-        dropped_transitions: state.dropped_transitions(),
-        transitions: state.into_transitions(),
-        log,
-        handoffs,
-        dropped_batches,
-    }
+    out.dropped_transitions = state.dropped_transitions();
+    out.transitions = state.into_transitions();
+    out
 }
 
-/// One request as the lockstep gate holds it: virtual arrival/ready times
-/// replace the wall-clock `submitted` instant (a burst submits everything
-/// at virtual t = 0; a crash handoff re-readies the request at the crash
-/// instant while its latency stays anchored at submission).
-struct GateRequest {
-    req: PooledRequest,
-    ready_v: u64,
-    submit_v: u64,
+/// Executes one coalesced batch on the wall clock and completes every
+/// member's response slot. With a [`BatchTraceCtx`] the batch leaves the
+/// full span chain (submit, queue-wait, batch, per-layer kernels, service,
+/// respond) on the recorder's clock.
+fn execute_batch(
+    session: &Session,
+    ctx: &ExecContext,
+    batch: Vec<PooledRequest>,
+    metrics: &mut ServeMetrics,
+    trace: Option<&BatchTraceCtx<'_>>,
+) {
+    let inputs: Vec<&Tensor<f32>> = batch.iter().map(|r| &r.input).collect();
+    let exec_start = Instant::now();
+    let result = match trace {
+        Some(_) => session.infer_batch_traced(ctx, &inputs),
+        None => session
+            .infer_batch_refs(ctx, &inputs)
+            .map(|out| (out, Vec::new())),
+    };
+    match result {
+        Ok((responses, kernels)) => {
+            let done = Instant::now();
+            if let Some(t) = trace {
+                let clock = t.recorder.clock();
+                let start_ns = clock.instant_ns(exec_start);
+                let done_ns = clock.instant_ns(done);
+                let dur_ns = done_ns.saturating_sub(start_ns);
+                t.recorder.record(
+                    TraceEvent::new(TraceStage::Batch, t.replica, start_ns, dur_ns)
+                        .batch(t.batch_index)
+                        .mode(t.mode)
+                        .batch_size(batch.len()),
+                );
+                let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
+                for (kernel, (span_start, span_dur)) in kernels
+                    .iter()
+                    .zip(layer_intervals(start_ns, dur_ns, &weights))
+                {
+                    t.recorder.record(
+                        TraceEvent::new(TraceStage::Kernel, t.replica, span_start, span_dur)
+                            .batch(t.batch_index)
+                            .mode(t.mode)
+                            .layer(kernel.layer)
+                            .stats(kernel.stats),
+                    );
+                }
+                for request in &batch {
+                    let submit_ns = clock.instant_ns(request.submitted);
+                    t.recorder.record(
+                        TraceEvent::new(TraceStage::Submit, t.replica, submit_ns, 0)
+                            .request(request.key),
+                    );
+                    t.recorder.record(
+                        TraceEvent::new(
+                            TraceStage::QueueWait,
+                            t.replica,
+                            submit_ns,
+                            start_ns.saturating_sub(submit_ns),
+                        )
+                        .request(request.key)
+                        .batch(t.batch_index),
+                    );
+                    t.recorder.record(
+                        TraceEvent::new(TraceStage::Service, t.replica, start_ns, dur_ns)
+                            .request(request.key)
+                            .batch(t.batch_index)
+                            .mode(t.mode),
+                    );
+                    t.recorder.record(
+                        TraceEvent::new(TraceStage::Respond, t.replica, done_ns, 0)
+                            .request(request.key)
+                            .batch(t.batch_index),
+                    );
+                }
+            }
+            let nanos = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
+            for (request, response) in batch.into_iter().zip(responses) {
+                metrics.record_stage_split(
+                    nanos(exec_start.saturating_duration_since(request.submitted)),
+                    nanos(done.saturating_duration_since(exec_start)),
+                );
+                metrics.record_latency(nanos(done.saturating_duration_since(request.submitted)));
+                request.slot.complete(Ok(response));
+            }
+        }
+        Err(e) => {
+            // A malformed request poisons only its own batch; every member
+            // learns the error and the replica keeps serving.
+            for request in batch {
+                request.slot.complete(Err(e.clone()));
+            }
+        }
+    }
 }
 
 /// A virtual-time submission waiting to be routed by the lockstep gate —
@@ -965,408 +915,77 @@ struct PendingSubmission {
 /// All deterministic pool state in lockstep mode, owned by one mutex so a
 /// launch grant commits atomically in virtual-time order.
 struct GateState {
-    queues: Vec<std::collections::VecDeque<GateRequest>>,
+    /// The simulator's pool core, holding every queued request.
+    core: PoolCore<PooledRequest>,
     /// Timed arrivals from [`ReplicaPool::submit_virtual`], ascending by
-    /// `at_ns`; routed inside the gate at their virtual arrival instant
-    /// (admission precedes any launch at or after that instant, exactly the
-    /// simulator's event interleaving).
-    pending: std::collections::VecDeque<PendingSubmission>,
-    /// Round-robin tick for gate-side routing — the virtual twin of
-    /// [`RouterCore`]'s counter.
-    rr: u64,
-    t_free: Vec<u64>,
-    batches: Vec<u64>,
-    crashed: Vec<bool>,
-    closed: Vec<bool>,
-    adaptive: Vec<AdaptiveState>,
-    faults: Vec<ReplicaFaults>,
-    metrics: Vec<ServeMetrics>,
-    log: Vec<PoolBatchLog>,
-    dropped_batches: u64,
-    handoffs: Vec<HandoffRecord>,
+    /// `at_ns`; admitted at their virtual arrival instant (before any
+    /// launch at or after it, exactly the simulator's event interleaving).
+    pending: VecDeque<PendingSubmission>,
     recorder: Option<Arc<TraceRecorder>>,
-    /// Pool-level controller (autoscaling, stealing, predictive mode) —
-    /// present only for [`ReplicaPool::start_lockstep_controlled`], hooked
-    /// at the same lifecycle points as the simulator's.
-    controller: Option<PoolController>,
 }
 
-/// Everything a lockstep worker needs after its batch was committed: the
-/// drained requests, the rung to execute at, and the virtual-time window the
-/// gate assigned (so the worker can emit kernel spans inside it).
-struct GrantedBatch {
-    batch: Vec<GateRequest>,
-    mode: usize,
-    batch_index: u64,
-    launch: u64,
-    service_ns: u64,
-}
-
-/// The virtual-clock coordinator of [`ReplicaPool::start_lockstep`]: grants
-/// batch launches in exactly the discrete-event simulator's order. A worker
-/// asks the gate for its next batch; the gate blocks it until its replica
-/// owns the *earliest* launchable batch pool-wide, then commits the batch
-/// (drain, metrics with virtual latencies, adaptive evaluation, post-batch
-/// fault effects, crash handoffs) under the lock and releases the worker to
-/// run the GEMM outside it — so determinism costs no parallelism.
+/// The virtual-clock coordinator of [`ReplicaPool::start_lockstep`]. A
+/// worker asks the gate for its next batch; the gate blocks it until its
+/// replica owns the *earliest* launchable batch pool-wide, commits the
+/// batch in the shared [`PoolCore`] under the lock, and releases the worker
+/// to run the GEMM outside it — so determinism costs no parallelism.
 struct LockstepGate {
     state: Mutex<GateState>,
     cv: Condvar,
-    max_batch: usize,
-    max_wait_ns: u64,
-    capacity: usize,
-    route: RoutePolicy,
-    service: ServiceModel,
-    record_log: bool,
 }
 
 impl LockstepGate {
     /// Blocks until replica `r` owns the earliest launch (ties break to the
     /// lowest replica index, as in the simulator), commits it, and returns
-    /// the granted batch and its ladder rung — or `None` when `r` has
-    /// crashed or the pool has fully drained.
-    fn acquire(&self, r: usize, sessions: &[Arc<Session>]) -> Option<GrantedBatch> {
-        let mut state = self.state.lock().expect("gate lock");
+    /// the granted batch — or `None` when `r` has crashed or the pool has
+    /// fully drained.
+    fn acquire(&self, r: usize, sessions: &[Arc<Session>]) -> Option<Launched<PooledRequest, ()>> {
+        let mut guard = self.state.lock().expect("gate lock");
         loop {
-            if state.crashed[r] {
+            let state = &mut *guard;
+            if state.core.is_crashed(r) {
                 return None;
             }
-            if state.queues.iter().all(|q| q.is_empty()) && state.pending.is_empty() {
+            if state.core.is_idle() && state.pending.is_empty() {
                 // Fully drained: release every parked worker so the pool
                 // shuts down instead of deadlocking on the last notify.
                 self.cv.notify_all();
                 return None;
             }
-            // Earliest launch any live replica could perform — the exact
-            // arithmetic of the simulator's next-launch scan.
-            let mut best: Option<(u64, usize)> = None;
-            for i in 0..state.queues.len() {
-                if state.crashed[i] || state.queues[i].is_empty() {
-                    continue;
-                }
-                let launch = if state.queues[i].len() >= self.max_batch {
-                    state.t_free[i].max(state.queues[i][self.max_batch - 1].ready_v)
-                } else {
-                    state.t_free[i].max(state.queues[i][0].ready_v.saturating_add(self.max_wait_ns))
-                };
-                if best.is_none_or(|(b, _)| launch < b) {
-                    best = Some((launch, i));
-                }
-            }
-            // Timed arrivals at or before that launch are routed and
-            // admitted first — the simulator's exact event interleaving,
-            // with the same [`pick_replica`] arithmetic over the gate's
-            // virtual queue depths.
-            if let Some(front_t) = state.pending.front().map(|p| p.at_ns) {
-                if best.is_none_or(|(launch, _)| front_t <= launch) {
+            let next = state.core.next_launch();
+            if let Some(front_ns) = state.pending.front().map(|p| p.at_ns) {
+                if next.is_none_or(|(launch, _)| front_ns <= launch) {
                     let sub = state.pending.pop_front().expect("front checked");
-                    // The controller observes every admitted arrival before
-                    // routing — the simulator's exact hook point — and its
-                    // decisions (scale up/down, predictive shifts) apply to
-                    // this very arrival's eligible set.
-                    let (events, live_after) = match state.controller.as_mut() {
-                        Some(ctrl) => {
-                            let events = ctrl.on_arrival(sub.at_ns);
-                            (events, ctrl.live())
-                        }
-                        None => (Vec::new(), 0),
-                    };
-                    for event in events {
-                        gate_apply_scale_event(&mut state, event, live_after, self.capacity);
-                    }
-                    let live = state
-                        .controller
-                        .as_ref()
-                        .map_or(state.queues.len(), PoolController::live);
-                    let eligible: Vec<(usize, usize)> = (0..state.queues.len())
-                        .filter(|&i| i < live && !state.crashed[i] && !state.closed[i])
-                        .map(|i| (i, state.queues[i].len()))
-                        .collect();
-                    let tick = state.rr;
-                    if self.route == RoutePolicy::RoundRobin {
-                        state.rr += 1;
-                    }
-                    match pick_replica(self.route, sub.req.key, tick, &eligible) {
-                        Some(target) => {
-                            if state.queues[target].len() < self.capacity {
-                                if let Some(rec) = state.recorder.clone() {
-                                    rec.record(
-                                        TraceEvent::new(TraceStage::Submit, target, sub.at_ns, 0)
-                                            .request(sub.req.key),
-                                    );
-                                }
-                                state.queues[target].push_back(GateRequest {
-                                    req: sub.req,
-                                    ready_v: sub.at_ns,
-                                    submit_v: sub.at_ns,
-                                });
-                            } else {
-                                // Shed: dropping the slot cancels the
-                                // client's handle, mirroring the
-                                // simulator's rejected-id accounting.
-                                state.metrics[target].record_rejected();
-                            }
-                        }
-                        None => {
-                            // Every replica dead or closed — attribute the
-                            // shed to replica 0, as the simulator does.
-                            state.metrics[0].record_rejected();
-                        }
-                    }
+                    // A shed request's slot drops inside the core, which
+                    // cancels the client's handle.
+                    let key = sub.req.key;
+                    state
+                        .core
+                        .admit(sub.at_ns, key, key, sub.req, state.recorder.as_deref());
                     // Admission may have changed which replica owns the
                     // earliest launch: wake everyone to recompute.
                     self.cv.notify_all();
                     continue;
                 }
             }
-            let Some((launch, winner)) = best else {
-                // Only crashed replicas hold work — unreachable because a
-                // crash drains its queue, but parking is the safe answer.
-                state = self.cv.wait(state).expect("gate lock");
-                continue;
-            };
-            if winner != r {
-                state = self.cv.wait(state).expect("gate lock");
-                continue;
-            }
-            let granted = self.commit(&mut state, r, launch, sessions);
-            self.cv.notify_all();
-            return Some(granted);
-        }
-    }
-
-    /// Commits replica `r`'s batch at virtual time `launch` — the mirror,
-    /// statement for statement, of the simulator's launch arm (latencies →
-    /// adaptive evaluation → post-batch fault effects → crash handoff).
-    fn commit(
-        &self,
-        state: &mut GateState,
-        r: usize,
-        launch: u64,
-        sessions: &[Arc<Session>],
-    ) -> GrantedBatch {
-        let batch_index = state.batches[r] + 1;
-        let take = state.queues[r].len().min(self.max_batch);
-        let batch: Vec<GateRequest> = state.queues[r].drain(..take).collect();
-        let reactive_mode = state.adaptive[r].mode();
-        let mode = state
-            .controller
-            .as_ref()
-            .map_or(reactive_mode, |c| c.effective_mode(reactive_mode));
-        let factor = state.faults[r].service_factor_x1024(batch_index);
-        // Size-aware virtual cost, recomputed from the submitted keys — the
-        // same pure function of (size seed, key) the simulator evaluates, so
-        // heterogeneous request sizes stay inside the lockstep contract.
-        let base_ns = self
-            .service
-            .batch_ns(&sessions[mode], batch.iter().map(|g| g.req.key));
-        let service_ns = (base_ns as u128 * factor as u128 / 1024).min(u128::from(u64::MAX)) as u64;
-        let finish = launch.saturating_add(service_ns);
-        let depth_after = state.queues[r].len();
-        state.metrics[r].record_batch(batch.len(), depth_after);
-        state.metrics[r].record_mode_batch(mode);
-        for item in &batch {
-            state.metrics[r].record_stage_split(launch.saturating_sub(item.submit_v), service_ns);
-            state.metrics[r].record_latency(finish.saturating_sub(item.submit_v));
-        }
-        if let Some(rec) = state.recorder.clone() {
-            // Identical arithmetic and fields to the simulator's launch arm
-            // — the canonical snapshot order makes the byte-identical trace
-            // contract hold even though workers interleave.
-            rec.record(
-                TraceEvent::new(TraceStage::Batch, r, launch, service_ns)
-                    .batch(batch_index)
-                    .mode(mode)
-                    .batch_size(batch.len()),
-            );
-            for item in &batch {
-                rec.record(
-                    TraceEvent::new(
-                        TraceStage::QueueWait,
-                        r,
-                        item.submit_v,
-                        launch.saturating_sub(item.submit_v),
-                    )
-                    .request(item.req.key)
-                    .batch(batch_index),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Service, r, launch, service_ns)
-                        .request(item.req.key)
-                        .batch(batch_index)
-                        .mode(mode),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Respond, r, finish, 0)
-                        .request(item.req.key)
-                        .batch(batch_index),
-                );
-            }
-        }
-        if self.record_log {
-            if state.log.len() < BATCH_LOG_CAP {
-                state.log.push(PoolBatchLog {
-                    replica: r,
-                    mode,
-                    keys: batch.iter().map(|g| g.req.key).collect(),
-                    queue_depth_after: depth_after,
-                });
-            } else {
-                state.dropped_batches += 1;
-            }
-        }
-        state.t_free[r] = finish;
-        // Both adaptive triggers read virtual state here: depth from the
-        // drain, p95 from the virtual-latency histogram.
-        let p95 = state.metrics[r].latency.quantile(0.95);
-        if state.adaptive[r].observe_batch(depth_after, p95).is_some() {
-            state.metrics[r].record_transition();
-        }
-        state.batches[r] = batch_index;
-        let post = state.faults[r].after_batch(batch_index);
-        if post.stall_ns > 0 {
-            state.t_free[r] = state.t_free[r].saturating_add(post.stall_ns);
-            state.metrics[r].record_stall();
-        }
-        if post.close_queue {
-            state.closed[r] = true;
-        }
-        if post.crashed {
-            state.crashed[r] = true;
-            state.closed[r] = true;
-            state.metrics[r].record_crash();
-            let crash_time = state.t_free[r];
-            let orphans: Vec<GateRequest> = state.queues[r].drain(..).collect();
-            let mut cursor = (r + 1) % state.queues.len();
-            let live = state
-                .controller
-                .as_ref()
-                .map_or(state.queues.len(), PoolController::live);
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = state
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| (i < live && !state.crashed[i] && !state.closed[i], q.len()))
-                    .collect();
-                let target = pick_handoff_target(r, &mut cursor, &states, self.capacity);
-                state.handoffs.push(HandoffRecord {
-                    from_replica: r,
-                    at_batch: batch_index,
-                    key: orphan.req.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        state.queues[t].push_back(GateRequest {
-                            ready_v: crash_time,
-                            ..orphan
-                        });
-                        state.metrics[r].record_handoff();
-                    }
-                    None => {
-                        // The drop cancels the orphan's response handle.
-                        state.metrics[r].record_handoff_shed();
-                    }
+            match next {
+                Some((launch, winner)) if winner == r => {
+                    // Kernel spans are recorded by the worker, outside the
+                    // lock, so the core gets no kernels here.
+                    let granted = state
+                        .core
+                        .launch(r, launch, sessions, state.recorder.as_deref(), |_, _| {
+                            Ok(((), Vec::new()))
+                        })
+                        .expect("a no-op execution cannot fail");
+                    self.cv.notify_all();
+                    return Some(granted);
                 }
+                // Another replica owns the earliest launch (or only crashed
+                // replicas hold work, which a crash's drain rules out).
+                _ => guard = self.cv.wait(guard).expect("gate lock"),
             }
         }
-        // Work stealing runs strictly after post-batch fault effects — the
-        // simulator's exact hook point at the end of its launch arm.
-        if state.controller.is_some() {
-            let live = state
-                .controller
-                .as_ref()
-                .map_or(state.queues.len(), PoolController::live);
-            let depths: Vec<(usize, usize)> = (0..state.queues.len())
-                .take(live)
-                .filter(|&i| !state.crashed[i] && !state.closed[i])
-                .map(|i| (i, state.queues[i].len()))
-                .collect();
-            let event = state
-                .controller
-                .as_mut()
-                .and_then(|ctrl| ctrl.steal_check(launch, &depths, self.capacity));
-            if let Some(event) = event {
-                if let ControlEventKind::Steal { from, to, moved } = event.kind {
-                    let split = state.queues[from].len() - moved;
-                    let stolen: Vec<GateRequest> = state.queues[from].split_off(split).into();
-                    for item in stolen {
-                        let ready_v = item.ready_v.max(event.at_ns);
-                        state.queues[to].push_back(GateRequest { ready_v, ..item });
-                    }
-                    state.metrics[0].record_steal(moved);
-                    if let Some(rec) = state.recorder.clone() {
-                        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-                    }
-                }
-            }
-        }
-        GrantedBatch {
-            batch,
-            mode,
-            batch_index,
-            launch,
-            service_ns,
-        }
-    }
-}
-
-/// Applies one controller decision to the gate — the mirror, statement for
-/// statement, of the simulator's `apply_scale_event`: an instant `Control`
-/// trace mark, the pool-level counter on replica 0, and for a scale-down
-/// the deactivated replica's queue drained through the shared
-/// [`pick_handoff_target`] rule onto the surviving live set (or shed — the
-/// dropped slot cancels the request).
-fn gate_apply_scale_event(
-    state: &mut GateState,
-    event: ControlEvent,
-    live_after: usize,
-    capacity: usize,
-) {
-    if let Some(rec) = state.recorder.clone() {
-        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-    }
-    match event.kind {
-        ControlEventKind::PredictiveShift { .. } => state.metrics[0].record_predictive_shift(),
-        ControlEventKind::ScaleUp { .. } => state.metrics[0].record_scale_up(),
-        ControlEventKind::ScaleDown { to: deact, .. } => {
-            state.metrics[0].record_scale_down();
-            let at_batch = state.batches[deact];
-            let orphans: Vec<GateRequest> = state.queues[deact].drain(..).collect();
-            let mut cursor = (deact + 1) % state.queues.len();
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = state
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        (
-                            i < live_after && !state.crashed[i] && !state.closed[i],
-                            q.len(),
-                        )
-                    })
-                    .collect();
-                let target = pick_handoff_target(deact, &mut cursor, &states, capacity);
-                state.handoffs.push(HandoffRecord {
-                    from_replica: deact,
-                    at_batch,
-                    key: orphan.req.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        let ready_v = orphan.ready_v.max(event.at_ns);
-                        state.queues[t].push_back(GateRequest { ready_v, ..orphan });
-                        state.metrics[deact].record_handoff();
-                    }
-                    None => state.metrics[deact].record_handoff_shed(),
-                }
-            }
-        }
-        // Steals are emitted only by the post-batch steal check, never by
-        // the arrival hook.
-        ControlEventKind::Steal { .. } => {}
     }
 }
 
@@ -1382,68 +1001,47 @@ fn lockstep_loop(
     recorder: Option<&TraceRecorder>,
 ) -> ReplicaOutcome {
     while let Some(grant) = gate.acquire(index, sessions) {
-        let GrantedBatch {
-            batch,
-            mode,
-            batch_index,
-            launch,
-            service_ns,
-        } = grant;
-        let inputs: Vec<&Tensor<f32>> = batch.iter().map(|g| &g.req.input).collect();
+        let session = &sessions[grant.mode];
+        let inputs: Vec<&Tensor<f32>> = grant.batch.iter().map(|q| &q.payload.input).collect();
         let result = match recorder {
-            Some(_) => sessions[mode].infer_batch_traced(ctx, &inputs),
-            None => sessions[mode]
+            Some(_) => session.infer_batch_traced(ctx, &inputs),
+            None => session
                 .infer_batch_refs(ctx, &inputs)
                 .map(|out| (out, Vec::new())),
         };
         match result {
             Ok((responses, kernels)) => {
                 if let Some(rec) = recorder {
-                    // Kernel spans are recorded outside the gate lock —
-                    // insertion order races across workers, but the
+                    // Insertion order races across workers here, but the
                     // snapshot's canonical sort restores the simulator's
                     // exact order.
                     let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
-                    for (kernel, (span_start, span_dur)) in kernels
-                        .iter()
-                        .zip(layer_intervals(launch, service_ns, &weights))
-                    {
+                    for (kernel, (start, dur)) in kernels.iter().zip(layer_intervals(
+                        grant.launch_ns,
+                        grant.service_ns,
+                        &weights,
+                    )) {
                         rec.record(
-                            TraceEvent::new(TraceStage::Kernel, index, span_start, span_dur)
-                                .batch(batch_index)
-                                .mode(mode)
+                            TraceEvent::new(TraceStage::Kernel, index, start, dur)
+                                .batch(grant.batch_index)
+                                .mode(grant.mode)
                                 .layer(kernel.layer)
                                 .stats(kernel.stats),
                         );
                     }
                 }
-                for (item, response) in batch.into_iter().zip(responses) {
-                    item.req.slot.complete(Ok(response));
+                for (q, response) in grant.batch.into_iter().zip(responses) {
+                    q.payload.slot.complete(Ok(response));
                 }
             }
             Err(e) => {
-                for item in batch {
-                    item.req.slot.complete(Err(e.clone()));
+                for q in grant.batch {
+                    q.payload.slot.complete(Err(e.clone()));
                 }
             }
         }
     }
-    ReplicaOutcome::empty()
-}
-
-impl crate::server::BatchItem for PooledRequest {
-    fn key(&self) -> u64 {
-        self.key
-    }
-    fn input(&self) -> &Tensor<f32> {
-        &self.input
-    }
-    fn submitted(&self) -> Instant {
-        self.submitted
-    }
-    fn into_slot(self) -> ResponseSlot<RequestResult> {
-        self.slot
-    }
+    ReplicaOutcome::default()
 }
 
 #[cfg(test)]
@@ -1653,5 +1251,84 @@ mod tests {
             ReplicaPool::start(Vec::new(), PoolConfig::default(), ExecConfig::default()),
             Err(ServeError::BadRequest(_))
         ));
+    }
+
+    #[test]
+    fn free_running_pool_traces_complete_wall_clock_chains() {
+        let (ladder, inputs) = ladder_fixture();
+        let mut pool = ReplicaPool::start_paused(
+            ladder,
+            pool_config(2, RoutePolicy::RoundRobin),
+            ExecConfig::default(),
+            false,
+        )
+        .unwrap();
+        let recorder = Arc::new(TraceRecorder::wall_clock());
+        pool.set_recorder(Arc::clone(&recorder));
+        pool.resume();
+        let client = pool.client();
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| (i as u64, client.submit(i as u64, input.clone()).unwrap()))
+            .collect();
+        let mut answered = Vec::new();
+        for (key, handle) in handles {
+            handle.wait().expect("not cancelled").expect("no error");
+            answered.push(key);
+        }
+        let _ = pool.shutdown();
+        let snapshot = recorder.snapshot();
+        assert!(!recorder.clock().is_virtual());
+        assert_eq!(snapshot.dropped, 0, "the ring holds the whole run");
+
+        let one = |stage: TraceStage, key: u64| {
+            let found: Vec<&TraceEvent> = snapshot
+                .events
+                .iter()
+                .filter(|e| e.stage == stage && e.request == Some(key))
+                .collect();
+            assert_eq!(found.len(), 1, "request {key}: one {stage:?} span");
+            found[0]
+        };
+        for key in answered {
+            let submit = one(TraceStage::Submit, key);
+            let wait = one(TraceStage::QueueWait, key);
+            let service = one(TraceStage::Service, key);
+            let respond = one(TraceStage::Respond, key);
+            let (replica, batch) = (wait.replica, wait.batch.expect("batch-scoped"));
+            for e in [submit, service, respond] {
+                assert_eq!(e.replica, replica, "request {key}: one replica");
+            }
+            assert_eq!((service.batch, respond.batch), (Some(batch), Some(batch)));
+            let batch_span = snapshot
+                .events
+                .iter()
+                .find(|e| {
+                    e.stage == TraceStage::Batch && e.replica == replica && e.batch == Some(batch)
+                })
+                .expect("the request's batch has a span");
+            let kernels: Vec<&TraceEvent> = snapshot
+                .events
+                .iter()
+                .filter(|e| {
+                    e.stage == TraceStage::Kernel && e.replica == replica && e.batch == Some(batch)
+                })
+                .collect();
+            assert!(!kernels.is_empty(), "request {key}: kernel spans");
+            let batch_end = batch_span.start_ns + batch_span.dur_ns;
+            for k in kernels {
+                assert!(k.stats.is_some(), "kernel spans carry PE stats");
+                assert!(batch_span.start_ns <= k.start_ns && k.start_ns + k.dur_ns <= batch_end);
+            }
+            // submit → queue-wait → service (= the batch) → respond.
+            assert_eq!(submit.start_ns, wait.start_ns);
+            assert_eq!(wait.start_ns + wait.dur_ns, batch_span.start_ns);
+            assert_eq!(
+                (service.start_ns, service.dur_ns),
+                (batch_span.start_ns, batch_span.dur_ns)
+            );
+            assert_eq!(respond.start_ns, batch_end);
+        }
     }
 }

@@ -1,12 +1,12 @@
-//! The long-lived threaded server: bounded queue → micro-batching scheduler
-//! → session, on the real clock.
+//! The long-lived threaded server for one session: a thin wrapper over a
+//! 1-replica [`ReplicaPool`] pinned to its session, on the real clock.
 //!
-//! One scheduler thread owns the batch loop: it blocks for the first queued
-//! request, keeps the batch open until `max_batch` requests arrived or the
-//! first request has waited `max_wait_ns`, executes the coalesced batch on
-//! the session, and completes every request's [`ResponseHandle`]. Admission
-//! control is the bounded queue itself — `submit` never blocks and returns a
-//! typed [`SubmitError`] under overload.
+//! The replica's worker blocks for the first queued request, keeps the
+//! batch open until `max_batch` requests arrived or the first request has
+//! waited `max_wait_ns`, executes the coalesced batch on the session, and
+//! completes every request's [`ResponseHandle`]. Admission control is the
+//! bounded queue itself — `submit` never blocks and returns a typed
+//! [`SubmitError`] under overload.
 //!
 //! For deterministic, replayable scheduling (tests, the `repro serve`
 //! sweep), use the virtual-clock simulator in [`crate::sim`] instead: it
@@ -14,108 +14,53 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Tensor;
-use nbsmt_tensor::validate::Validate;
 
-use crate::config::{SchedulerConfig, ServeError, SubmitError};
-use crate::faults::{FaultPlan, ReplicaFaults};
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::queue::{response_channel, BoundedQueue, ResponseHandle, ResponseSlot};
+use crate::config::{
+    AdaptivePolicy, PoolConfig, RoutePolicy, SchedulerConfig, ServeError, SubmitError,
+};
+use crate::faults::FaultPlan;
+use crate::metrics::MetricsSnapshot;
+use crate::pool::{PoolClient, ReplicaPool};
+use crate::queue::ResponseHandle;
 use crate::session::{Inference, Session};
 use crate::sim::ServiceModel;
-use crate::trace::{layer_intervals, BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
 
 /// Result delivered to each request's [`ResponseHandle`].
 pub type RequestResult = Result<Inference, ServeError>;
 
-struct QueuedRequest {
-    key: u64,
-    input: Tensor<f32>,
-    submitted: Instant,
-    slot: ResponseSlot<RequestResult>,
-}
-
-/// A queued request as the batch executor sees it — implemented by the
-/// single-session server's and the replica pool's request types so both
-/// schedulers share one [`execute_batch`].
-pub(crate) trait BatchItem {
-    fn key(&self) -> u64;
-    fn input(&self) -> &Tensor<f32>;
-    fn submitted(&self) -> Instant;
-    fn into_slot(self) -> ResponseSlot<RequestResult>;
-}
-
-impl BatchItem for QueuedRequest {
-    fn key(&self) -> u64 {
-        self.key
-    }
-    fn input(&self) -> &Tensor<f32> {
-        &self.input
-    }
-    fn submitted(&self) -> Instant {
-        self.submitted
-    }
-    fn into_slot(self) -> ResponseSlot<RequestResult> {
-        self.slot
-    }
-}
-
 /// A running serving instance for one session.
 pub struct Server {
-    queue: Arc<BoundedQueue<QueuedRequest>>,
-    rejected: Arc<AtomicU64>,
+    pool: ReplicaPool,
     seq: Arc<AtomicU64>,
-    worker: Option<JoinHandle<ServeMetrics>>,
-    started: Instant,
 }
 
 /// Cheap cloneable submission handle.
 #[derive(Clone)]
 pub struct Client {
-    queue: Arc<BoundedQueue<QueuedRequest>>,
-    rejected: Arc<AtomicU64>,
+    client: PoolClient,
     seq: Arc<AtomicU64>,
 }
 
 impl Client {
     /// Submits one request; returns immediately with a waitable handle.
+    /// Requests are keyed by submission sequence number.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] under overload, [`SubmitError::Closed`]
     /// after shutdown began.
     pub fn submit(&self, input: Tensor<f32>) -> Result<ResponseHandle<RequestResult>, SubmitError> {
-        let (slot, handle) = response_channel();
         let key = self.seq.fetch_add(1, Ordering::Relaxed);
-        let submitted = Instant::now();
-        let queued = QueuedRequest {
-            key,
-            input,
-            submitted,
-            slot,
-        };
-        match self.queue.try_push(queued) {
-            Ok(()) => Ok(handle),
-            Err(e) => {
-                // Only admission-control rejections count as shed load; a
-                // submit racing shutdown (`Closed`) was never offered to the
-                // queue bound.
-                if matches!(e, SubmitError::QueueFull { .. }) {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
+        self.client.submit(key, input)
     }
 }
 
 impl Server {
-    /// Starts a server: spawns the scheduler thread over `session`,
-    /// executing batches on `ctx`.
+    /// Starts a server: spawns one worker over `session`, executing batches
+    /// on a context built from `ctx`'s configuration.
     ///
     /// # Errors
     ///
@@ -128,36 +73,21 @@ impl Server {
         config: SchedulerConfig,
         ctx: ExecContext,
     ) -> Result<Server, ServeError> {
-        Server::start_with_recorder(session, config, ctx, None)
-    }
-
-    /// [`Server::start`] with a shared [`TraceRecorder`]: every admitted
-    /// request leaves a submit → queue-wait → service → respond span chain
-    /// and every batch a batch span plus per-layer kernel spans, all
-    /// timestamped on the recorder's wall [`crate::trace::Clock`] — the
-    /// same schema the deterministic simulator emits on virtual time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Server::start`].
-    pub fn start_traced(
-        session: Arc<Session>,
-        config: SchedulerConfig,
-        ctx: ExecContext,
-        recorder: Arc<TraceRecorder>,
-    ) -> Result<Server, ServeError> {
-        Server::start_with_recorder(session, config, ctx, Some(recorder))
+        Self::wrap(ReplicaPool::start(
+            vec![session],
+            pinned(config),
+            *ctx.config(),
+        ))
     }
 
     /// [`Server::start`] with `plan`'s replica-0 schedule injected for real
-    /// — the single-session counterpart of
-    /// [`crate::pool::ReplicaPool::start_with_faults`]. Straggle windows
-    /// sleep out the extra service time the factor implies over `service`'s
+    /// — see [`ReplicaPool::start_with_faults`]. Straggle windows sleep out
+    /// the extra service time the factor implies over `service`'s
     /// size-aware nominal cost, stalls sleep, a queue close half-closes
-    /// admissions (queued work still drains), and a crash kills the
-    /// scheduler: with no surviving replica to hand off to, every queued
-    /// orphan sheds (its dropped slot cancels the client's handle, so no
-    /// caller ever hangs on a dead server).
+    /// admissions (queued work still drains), and a crash kills the worker:
+    /// with no surviving replica to hand off to, every queued orphan sheds
+    /// (its dropped slot cancels the client's handle, so no caller ever
+    /// hangs on a dead server).
     ///
     /// # Errors
     ///
@@ -169,274 +99,49 @@ impl Server {
         plan: &FaultPlan,
         service: ServiceModel,
     ) -> Result<Server, ServeError> {
-        config.validate()?;
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let worker_queue = Arc::clone(&queue);
-        let faults = plan.for_replica(0);
-        let worker = std::thread::Builder::new()
-            .name(format!("nbsmt-serve-{}", session.name()))
-            .spawn(move || {
-                scheduler_loop_faulted(&worker_queue, &session, &config, &ctx, &faults, service)
-            })
-            .expect("spawning the scheduler thread succeeds");
-        Ok(Server {
-            queue,
-            rejected: Arc::new(AtomicU64::new(0)),
-            seq: Arc::new(AtomicU64::new(0)),
-            worker: Some(worker),
-            started: Instant::now(),
-        })
+        Self::wrap(ReplicaPool::start_with_faults(
+            vec![session],
+            pinned(config),
+            *ctx.config(),
+            plan,
+            service,
+        ))
     }
 
-    fn start_with_recorder(
-        session: Arc<Session>,
-        config: SchedulerConfig,
-        ctx: ExecContext,
-        recorder: Option<Arc<TraceRecorder>>,
-    ) -> Result<Server, ServeError> {
-        config.validate()?;
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let worker_queue = Arc::clone(&queue);
-        let worker = std::thread::Builder::new()
-            .name(format!("nbsmt-serve-{}", session.name()))
-            .spawn(move || {
-                scheduler_loop(&worker_queue, &session, &config, &ctx, recorder.as_deref())
-            })
-            .expect("spawning the scheduler thread succeeds");
+    fn wrap(pool: Result<ReplicaPool, ServeError>) -> Result<Server, ServeError> {
         Ok(Server {
-            queue,
-            rejected: Arc::new(AtomicU64::new(0)),
+            pool: pool?,
             seq: Arc::new(AtomicU64::new(0)),
-            worker: Some(worker),
-            started: Instant::now(),
         })
     }
 
     /// A new submission handle.
     pub fn client(&self) -> Client {
         Client {
-            queue: Arc::clone(&self.queue),
-            rejected: Arc::clone(&self.rejected),
+            client: self.pool.client(),
             seq: Arc::clone(&self.seq),
         }
     }
 
     /// Current queue depth (approximate under concurrency).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.pool.queue_depths()[0]
     }
 
-    /// Stops accepting work, drains the queue, joins the scheduler, and
+    /// Stops accepting work, drains the queue, joins the worker, and
     /// returns the final metrics snapshot (wall-clock window).
-    pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.queue.close();
-        let mut metrics = self
-            .worker
-            .take()
-            .expect("worker present until shutdown")
-            .join()
-            .expect("scheduler thread exits cleanly");
-        metrics.rejected += self.rejected.load(Ordering::Relaxed);
-        let elapsed = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        metrics.snapshot(elapsed)
+    pub fn shutdown(self) -> MetricsSnapshot {
+        self.pool.shutdown().total
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.queue.close();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn scheduler_loop(
-    queue: &BoundedQueue<QueuedRequest>,
-    session: &Session,
-    config: &SchedulerConfig,
-    ctx: &ExecContext,
-    recorder: Option<&TraceRecorder>,
-) -> ServeMetrics {
-    let mut metrics = ServeMetrics::new();
-    let max_batch = config.batch.max_batch;
-    let max_wait = Duration::from_nanos(config.batch.max_wait_ns);
-    let mut batch_index = 0u64;
-    while let Some(first) = queue.pop_blocking() {
-        // Keep the batch open until it fills or the first request's wait
-        // budget is spent. Requests already queued behind `first` are
-        // claimed in one lock; only the remainder waits on the deadline.
-        let deadline = first.submitted + max_wait;
-        let batch = queue.collect_batch(first, max_batch, deadline);
-        metrics.record_batch(batch.len(), queue.len());
-        batch_index += 1;
-        let trace = recorder.map(|rec| BatchTraceCtx {
-            recorder: rec,
-            replica: 0,
-            batch_index,
-            mode: 0,
-        });
-        execute_batch(session, ctx, batch, &mut metrics, trace.as_ref());
-    }
-    metrics
-}
-
-/// [`scheduler_loop`] with a [`ReplicaFaults`] schedule applied for real:
-/// the same batch loop plus the 1-based batch clock the fault cursor
-/// consumes — identical semantics to the replica pool's live faulted
-/// worker, minus the handoff (a lone server shes every orphan on crash).
-fn scheduler_loop_faulted(
-    queue: &BoundedQueue<QueuedRequest>,
-    session: &Session,
-    config: &SchedulerConfig,
-    ctx: &ExecContext,
-    faults: &ReplicaFaults,
-    service: ServiceModel,
-) -> ServeMetrics {
-    let mut metrics = ServeMetrics::new();
-    let max_batch = config.batch.max_batch;
-    let max_wait = Duration::from_nanos(config.batch.max_wait_ns);
-    let mut batch_index = 0u64;
-    while let Some(first) = queue.pop_blocking() {
-        batch_index += 1;
-        let deadline = first.submitted + max_wait;
-        let batch = queue.collect_batch(first, max_batch, deadline);
-        let batch_keys: Vec<u64> = batch.iter().map(|r| r.key).collect();
-        metrics.record_batch(batch.len(), queue.len());
-        execute_batch(session, ctx, batch, &mut metrics, None);
-        let factor = faults.service_factor_x1024(batch_index);
-        if factor > 1024 {
-            // The straggler pads the batch with the *extra* time the factor
-            // implies over the service model's size-aware nominal cost.
-            let extra = (service.batch_ns(session, batch_keys.iter().copied()) as u128
-                * (factor - 1024) as u128
-                / 1024)
-                .min(u128::from(u64::MAX)) as u64;
-            std::thread::sleep(Duration::from_nanos(extra));
-        }
-        let post = faults.after_batch(batch_index);
-        if post.stall_ns > 0 {
-            metrics.record_stall();
-            std::thread::sleep(Duration::from_nanos(post.stall_ns));
-        }
-        if post.close_queue {
-            queue.close_admissions();
-        }
-        if post.crashed {
-            queue.close_admissions();
-            metrics.record_crash();
-            for _orphan in queue.drain_up_to(usize::MAX) {
-                // No survivor exists: the orphan sheds, and dropping its
-                // slot cancels the client's handle.
-                metrics.record_handoff_shed();
-            }
-            break;
-        }
-    }
-    metrics
-}
-
-/// Executes one coalesced batch and completes every member's response slot
-/// — shared by the single-session scheduler and the replica-pool workers.
-/// With a [`BatchTraceCtx`] the batch leaves the full wall-clock span chain
-/// (queue-wait, batch, per-layer kernels, service, respond) on the shared
-/// recorder.
-pub(crate) fn execute_batch<R: BatchItem>(
-    session: &Session,
-    ctx: &ExecContext,
-    batch: Vec<R>,
-    metrics: &mut ServeMetrics,
-    trace: Option<&BatchTraceCtx<'_>>,
-) {
-    let inputs: Vec<&Tensor<f32>> = batch.iter().map(BatchItem::input).collect();
-    let exec_start = Instant::now();
-    let result = match trace {
-        Some(_) => session.infer_batch_traced(ctx, &inputs),
-        None => session
-            .infer_batch_refs(ctx, &inputs)
-            .map(|out| (out, Vec::new())),
-    };
-    match result {
-        Ok((responses, kernels)) => {
-            let done = Instant::now();
-            if let Some(t) = trace {
-                let clock = t.recorder.clock();
-                let start_ns = clock.instant_ns(exec_start);
-                let done_ns = clock.instant_ns(done);
-                let dur_ns = done_ns.saturating_sub(start_ns);
-                t.recorder.record(
-                    TraceEvent::new(TraceStage::Batch, t.replica, start_ns, dur_ns)
-                        .batch(t.batch_index)
-                        .mode(t.mode)
-                        .batch_size(batch.len()),
-                );
-                let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
-                for (kernel, (span_start, span_dur)) in kernels
-                    .iter()
-                    .zip(layer_intervals(start_ns, dur_ns, &weights))
-                {
-                    t.recorder.record(
-                        TraceEvent::new(TraceStage::Kernel, t.replica, span_start, span_dur)
-                            .batch(t.batch_index)
-                            .mode(t.mode)
-                            .layer(kernel.layer)
-                            .stats(kernel.stats),
-                    );
-                }
-                for request in &batch {
-                    let submit_ns = clock.instant_ns(request.submitted());
-                    t.recorder.record(
-                        TraceEvent::new(TraceStage::Submit, t.replica, submit_ns, 0)
-                            .request(request.key()),
-                    );
-                    t.recorder.record(
-                        TraceEvent::new(
-                            TraceStage::QueueWait,
-                            t.replica,
-                            submit_ns,
-                            start_ns.saturating_sub(submit_ns),
-                        )
-                        .request(request.key())
-                        .batch(t.batch_index),
-                    );
-                    t.recorder.record(
-                        TraceEvent::new(TraceStage::Service, t.replica, start_ns, dur_ns)
-                            .request(request.key())
-                            .batch(t.batch_index)
-                            .mode(t.mode),
-                    );
-                    t.recorder.record(
-                        TraceEvent::new(TraceStage::Respond, t.replica, done_ns, 0)
-                            .request(request.key())
-                            .batch(t.batch_index),
-                    );
-                }
-            }
-            for (request, response) in batch.into_iter().zip(responses) {
-                let wait = exec_start
-                    .saturating_duration_since(request.submitted())
-                    .as_nanos()
-                    .min(u128::from(u64::MAX)) as u64;
-                let service = done
-                    .saturating_duration_since(exec_start)
-                    .as_nanos()
-                    .min(u128::from(u64::MAX)) as u64;
-                metrics.record_stage_split(wait, service);
-                let latency = done
-                    .saturating_duration_since(request.submitted())
-                    .as_nanos()
-                    .min(u128::from(u64::MAX)) as u64;
-                metrics.record_latency(latency);
-                request.into_slot().complete(Ok(response));
-            }
-        }
-        Err(e) => {
-            // A malformed request poisons only its own batch; every member
-            // learns the error and the server keeps serving.
-            for request in batch {
-                request.into_slot().complete(Err(e.clone()));
-            }
-        }
+/// One replica, pinned to the single session.
+fn pinned(scheduler: SchedulerConfig) -> PoolConfig {
+    PoolConfig {
+        replicas: 1,
+        route: RoutePolicy::RoundRobin,
+        scheduler,
+        adaptive: AdaptivePolicy::pinned(),
     }
 }
 

@@ -1,8 +1,12 @@
 //! Deterministic virtual-clock serving simulator.
 //!
-//! Replays the exact micro-batching policy of the threaded server —
-//! bounded-queue admission, `max_batch`/`max_wait` coalescing, serial batch
-//! execution — as a discrete-event simulation over integer nanoseconds. The
+//! The single-threaded driver of the pool core the lockstep
+//! [`crate::pool::ReplicaPool`] also drives: this module owns only the
+//! arrival source and the inline model execution, while every scheduling
+//! rule — bounded-queue admission, routing, `max_batch`/`max_wait`
+//! coalescing, serial per-replica execution, the adaptive ladder, faults,
+//! and the controller — lives in that one state machine, run here as a
+//! discrete-event simulation over integer nanoseconds. The
 //! model outputs are computed for real on an [`ExecContext`] (bit-identical
 //! across host thread counts by the execution layer's contract), while
 //! *time* comes from a [`ServiceModel`] instead of the wall clock, so two
@@ -26,14 +30,15 @@ use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
 use crate::config::{
-    AdaptivePolicy, AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, SchedulerConfig,
-    ServeError, BATCH_LOG_CAP, REJECTION_LOG_CAP, RESPONSE_LOG_CAP,
+    AdaptivePolicy, ModeTransition, PoolConfig, RoutePolicy, SchedulerConfig, ServeError,
+    REJECTION_LOG_CAP, RESPONSE_LOG_CAP,
 };
-use crate::control::{ControlConfig, ControlEvent, ControlEventKind, PoolController};
-use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
+use crate::control::{ControlConfig, ControlEvent};
+use crate::faults::{FaultPlan, HandoffRecord};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::pool_core::PoolCore;
 use crate::session::{Inference, Session};
-use crate::trace::{layer_intervals, LayerKernel, TraceEvent, TraceRecorder, TraceStage};
+use crate::trace::TraceRecorder;
 use crate::traffic::{GeneratedArrivals, SizeModel, TrafficModel};
 
 /// Deterministic service-time model for the virtual clock.
@@ -83,8 +88,8 @@ impl ServiceModel {
     /// 1024/1024 and the result is bit-identical to
     /// [`ServiceModel::service_ns`] of the same batch length — the first
     /// `/ 1024` is exact — so unit-size runs are unchanged by construction.
-    /// Used identically by the simulators and the threaded pool's lockstep
-    /// gate, keeping heterogeneous sizes inside the determinism contract.
+    /// The pool core both deterministic drivers share costs every batch
+    /// with it, keeping heterogeneous sizes inside the determinism contract.
     pub fn batch_ns<I: IntoIterator<Item = u64>>(&self, session: &Session, keys: I) -> u64 {
         let total_x1024: u128 = keys
             .into_iter()
@@ -180,21 +185,16 @@ pub struct SimOutcome {
     pub makespan_ns: u64,
 }
 
+/// A not-yet-admitted arrival. Request `id` uses input
+/// `id % inputs.len()`.
 #[derive(Debug, Clone, Copy)]
 struct PendingArrival {
     id: u64,
     /// Router/affinity key: equal to `id` for open and closed loops, the
     /// stream key (e.g. the session's user id) for generated arrivals.
-    /// Feeds [`pick_replica`] and the [`SizeModel`].
+    /// Feeds the router and the [`SizeModel`].
     key: u64,
     time_ns: u64,
-    /// Earliest virtual time the request may launch. Equal to `time_ns` for
-    /// a fresh arrival; a crash handoff re-enqueues the request with
-    /// `ready_ns` at the crash instant (it cannot launch on the survivor
-    /// before it exists there), while `time_ns` keeps anchoring its latency.
-    ready_ns: u64,
-    input_index: usize,
-    client: usize,
 }
 
 /// Runs the single-session simulation: `inputs` is the request-input pool,
@@ -278,10 +278,7 @@ fn closed_population(arrivals: &ArrivalProcess) -> usize {
 /// prefills the whole trace; the closed loop seeds one submission per client
 /// and grows on completions; the generated loop installs a lazy stream the
 /// event loop pulls from one arrival at a time.
-fn expand_arrivals(
-    arrivals: &ArrivalProcess,
-    inputs_len: usize,
-) -> Result<ArrivalPlan, ServeError> {
+fn expand_arrivals(arrivals: &ArrivalProcess) -> Result<ArrivalPlan, ServeError> {
     let mut pending: VecDeque<PendingArrival> = VecDeque::new();
     let mut generator = None;
     let mut next_id = 0u64;
@@ -298,9 +295,6 @@ fn expand_arrivals(
                     id: next_id,
                     key: next_id,
                     time_ns: t,
-                    ready_ns: t,
-                    input_index: next_id as usize % inputs_len,
-                    client: 0,
                 });
                 next_id += 1;
             }
@@ -313,14 +307,11 @@ fn expand_arrivals(
         } => {
             let clients = (*clients).max(1).min(*total_requests);
             remaining_closed = total_requests.saturating_sub(clients);
-            for c in 0..clients {
+            for _ in 0..clients {
                 pending.push_back(PendingArrival {
                     id: next_id,
                     key: next_id,
                     time_ns: 0,
-                    ready_ns: 0,
-                    input_index: next_id as usize % inputs_len,
-                    client: c,
                 });
                 next_id += 1;
             }
@@ -341,33 +332,25 @@ fn expand_arrivals(
     })
 }
 
-/// Closed loop: each client completed in `batch` thinks for `think_ns` and
-/// submits again (as a fresh pending arrival routed like any other), until
-/// `remaining_closed` runs out. Completions are strictly after the batch's
-/// launch, so a respawned arrival can never belong to the batch that
-/// produced it. Shared by [`simulate`] and [`simulate_pool`] so the two
-/// closed-loop semantics cannot drift apart.
+/// Closed loop: each of the `completed` clients thinks for `think_ns` after
+/// `finish` and submits again (as a fresh pending arrival routed like any
+/// other), until `remaining_closed` runs out. Completions are strictly
+/// after the batch's launch, so a respawned arrival can never belong to the
+/// batch that produced it.
 fn respawn_closed(
     pending: &mut VecDeque<PendingArrival>,
     remaining_closed: &mut usize,
     next_id: &mut u64,
-    batch: &[PendingArrival],
+    completed: usize,
     finish: u64,
     think_ns: u64,
-    inputs_len: usize,
 ) {
-    for request in batch {
-        if *remaining_closed == 0 {
-            break;
-        }
+    for _ in 0..completed.min(*remaining_closed) {
         *remaining_closed -= 1;
         let arrival = PendingArrival {
             id: *next_id,
             key: *next_id,
             time_ns: finish.saturating_add(think_ns),
-            ready_ns: finish.saturating_add(think_ns),
-            input_index: *next_id as usize % inputs_len,
-            client: request.client,
         };
         *next_id += 1;
         insert_sorted(pending, arrival);
@@ -426,8 +409,8 @@ pub struct PoolSimOutcome {
     /// contract (mirrors [`crate::pool::PoolSnapshot::handoffs`]).
     pub handoffs: Vec<HandoffRecord>,
     /// Batches launched but *not* retained in `batches` because the log hit
-    /// [`BATCH_LOG_CAP`] — the log is constant-memory, this counter closes
-    /// the accounting.
+    /// [`crate::config::BATCH_LOG_CAP`] — the log is constant-memory, this
+    /// counter closes the accounting.
     pub dropped_batches: u64,
     /// Mode transitions applied but not retained in `transitions` past
     /// [`crate::config::TRANSITION_LOG_CAP`], summed over replicas.
@@ -454,20 +437,6 @@ pub struct PoolSimOutcome {
     pub replica_ns: u64,
     /// Virtual time at which the last batch finished [ns].
     pub makespan_ns: u64,
-}
-
-struct ReplicaSim {
-    queue: VecDeque<PendingArrival>,
-    t_free: u64,
-    state: AdaptiveState,
-    metrics: ServeMetrics,
-    faults: ReplicaFaults,
-    /// Launched batches so far (the fault plan's 1-based batch clock).
-    batches: u64,
-    crashed: bool,
-    /// Admissions closed by a [`crate::faults::FaultKind::CloseQueue`]
-    /// event (a crash closes admissions too).
-    closed: bool,
 }
 
 /// Simulates a sharded replica pool: N virtual-clock replicas behind a
@@ -503,12 +472,13 @@ pub fn simulate_pool<S: Borrow<Session>>(
 /// launch; stalls, queue closes, and crashes apply after the batch's
 /// latencies, closed-loop respawns, and adaptive evaluation. A crash drains
 /// the replica's queue through the shared handoff rule
-/// ([`pick_handoff_target`]): each orphan re-enqueues on the first eligible
-/// survivor with its `ready` time at the crash instant (latency still
-/// anchored at arrival), or is shed when none qualifies. The router skips
-/// crashed and closed replicas via [`pick_replica`]; with every replica
-/// eligible the arithmetic is exactly the fault-free router's. `None`
-/// faults make this identical to [`simulate_pool`].
+/// ([`crate::faults::pick_handoff_target`]): each orphan re-enqueues on the
+/// first eligible survivor with its `ready` time at the crash instant
+/// (latency still anchored at arrival), or is shed when none qualifies. The
+/// router skips crashed and closed replicas via
+/// [`crate::faults::pick_replica`]; with every replica eligible the
+/// arithmetic is exactly the fault-free router's. `None` faults make this
+/// identical to [`simulate_pool`].
 ///
 /// # Errors
 ///
@@ -529,8 +499,8 @@ pub fn simulate_pool_faulted<S: Borrow<Session>>(
 /// recorder is supplied every request leaves a submit → queue-wait →
 /// service → respond span chain, and every launched batch a batch span plus
 /// per-layer kernel spans (service time partitioned proportionally to each
-/// layer's [`nbsmt_core::pe::PeStats`] cycles via [`layer_intervals`], with
-/// the stats attached). All timestamps are virtual nanoseconds, so the
+/// layer's [`nbsmt_core::pe::PeStats`] cycles via
+/// [`crate::trace::layer_intervals`], with the stats attached). All timestamps are virtual nanoseconds, so the
 /// emitted trace is bit-identical across runs, host thread counts, and
 /// backends — and byte-identical to the lockstep
 /// [`crate::pool::ReplicaPool`]'s trace of the same seeded burst.
@@ -554,10 +524,10 @@ pub fn simulate_pool_traced<S: Borrow<Session>>(
     )
 }
 
-/// [`simulate_pool_traced`] with a [`PoolController`] in the loop: the
-/// controller observes every admitted arrival (rolling its EWMA windows and
-/// emitting predictive-shift / autoscale events at window boundaries) and
-/// evaluates work stealing after every batch launch. Scale-down drains the
+/// [`simulate_pool_traced`] with a [`crate::control::PoolController`] in
+/// the loop: the controller observes every admitted arrival (rolling its
+/// EWMA windows and emitting predictive-shift / autoscale events at window
+/// boundaries) and evaluates work stealing after every batch launch. Scale-down drains the
 /// deactivated replica's queue through the crash-handoff rule, the router
 /// only considers live replicas, and every batch executes at
 /// `max(reactive mode, predictive floor)`. All decisions are pure functions
@@ -679,25 +649,13 @@ fn simulate_pool_inner<S: Borrow<Session>>(
         return Err(ServeError::BadRequest("empty request-input pool".into()));
     }
     pool.validate()?;
-    // The controller's utilization forecast is denominated in the same
-    // virtual per-rung request cost the clock runs on.
-    let mut controller = control
-        .map(|cfg| {
-            let rung_work_ns = sessions
-                .iter()
-                .map(|s| service.single_ns(s.borrow()))
-                .collect();
-            PoolController::new(cfg, rung_work_ns, pool.replicas)
-        })
-        .transpose()?;
-    let max_batch = pool.scheduler.batch.max_batch;
-    let max_wait = pool.scheduler.batch.max_wait_ns;
-    // Same closed-loop floor as the single-replica simulator, per replica:
-    // hashed routing can land an entire client population on one queue.
+    // Hashed routing can land an entire closed-loop client population on
+    // one queue, so each queue admits at least the population.
     let capacity = pool
         .scheduler
         .queue_capacity
         .max(closed_population(arrivals));
+    let mut core = PoolCore::new(sessions, &pool, capacity, service, control, faults, true)?;
 
     let ArrivalPlan {
         mut pending,
@@ -705,35 +663,11 @@ fn simulate_pool_inner<S: Borrow<Session>>(
         mut next_id,
         mut remaining_closed,
         think_ns,
-    } = expand_arrivals(arrivals, inputs.len())?;
-
-    let mut replicas: Vec<ReplicaSim> = (0..pool.replicas)
-        .map(|r| ReplicaSim {
-            queue: VecDeque::new(),
-            t_free: 0,
-            state: AdaptiveState::new(pool.adaptive, r, sessions.len()),
-            metrics: ServeMetrics::new(),
-            faults: faults.map(|p| p.for_replica(r)).unwrap_or_default(),
-            batches: 0,
-            crashed: false,
-            closed: false,
-        })
-        .collect();
-    let mut rr_counter = 0u64;
+    } = expand_arrivals(arrivals)?;
     let mut responses = Vec::new();
     let mut rejected_ids = Vec::new();
-    let mut batches = Vec::new();
-    let mut dropped_batches = 0u64;
     let mut dropped_responses = 0u64;
     let mut dropped_rejections = 0u64;
-    let mut handoffs: Vec<HandoffRecord> = Vec::new();
-    let reject = |ids: &mut Vec<u64>, dropped: &mut u64, id: u64| {
-        if ids.len() < REJECTION_LOG_CAP {
-            ids.push(id);
-        } else {
-            *dropped += 1;
-        }
-    };
 
     loop {
         // Generated arrivals stream in lazily, one at a time: the stream is
@@ -746,123 +680,39 @@ fn simulate_pool_inner<S: Borrow<Session>>(
                     id: next_id,
                     key: arrival.key,
                     time_ns: arrival.time_ns,
-                    ready_ns: arrival.time_ns,
-                    input_index: next_id as usize % inputs.len(),
-                    client: 0,
                 });
                 next_id += 1;
             }
         }
-        // Earliest launch any live replica could perform from its current
-        // queue: a full batch launches once the worker is free and its
-        // max_batch-th request is ready; a partial batch waits out the
-        // oldest request's budget.
-        let mut next_launch: Option<(u64, usize)> = None;
-        for (r, replica) in replicas.iter().enumerate() {
-            if replica.crashed {
-                continue;
-            }
-            let Some(oldest) = replica.queue.front() else {
-                continue;
-            };
-            let launch = if replica.queue.len() >= max_batch {
-                replica.t_free.max(replica.queue[max_batch - 1].ready_ns)
-            } else {
-                replica.t_free.max(oldest.ready_ns.saturating_add(max_wait))
-            };
-            if next_launch.is_none_or(|(best, _)| launch < best) {
-                next_launch = Some((launch, r));
-            }
-        }
-
-        // Arrivals at or before that launch are routed and admitted first
-        // (mirrors the threaded pool, where submission precedes the drain).
-        // Crashed and admission-closed replicas are not routable; with no
-        // faults the eligible set is every replica and the arithmetic is
-        // the original router's.
+        // Arrivals at or before the next launch are admitted first
+        // (submission precedes the drain).
+        let next_launch = core.next_launch();
         if let Some(arrival) = pending.front().copied() {
             if next_launch.is_none_or(|(launch, _)| arrival.time_ns <= launch) {
                 pending.pop_front();
-                // The controller observes every admitted arrival before it
-                // is routed: estimator windows roll here, and any
-                // predictive-shift / autoscale decisions apply before the
-                // routing decision — the threaded lockstep gate calls the
-                // controller at the identical point.
-                if let Some(ctrl) = controller.as_mut() {
-                    for event in ctrl.on_arrival(arrival.time_ns) {
-                        let live_after = ctrl.live();
-                        apply_scale_event(
-                            event,
-                            live_after,
-                            &mut replicas,
-                            &mut handoffs,
-                            recorder,
-                            capacity,
-                        );
-                    }
-                }
-                let live = controller
-                    .as_ref()
-                    .map_or(replicas.len(), PoolController::live);
-                let eligible: Vec<(usize, usize)> = replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, rep)| *i < live && !rep.crashed && !rep.closed)
-                    .map(|(i, rep)| (i, rep.queue.len()))
-                    .collect();
-                let tick = rr_counter;
-                if pool.route == RoutePolicy::RoundRobin {
-                    rr_counter += 1;
-                }
-                match pick_replica(pool.route, arrival.key, tick, &eligible) {
-                    Some(target) => {
-                        let replica = &mut replicas[target];
-                        if replica.queue.len() < capacity {
-                            if let Some(rec) = recorder {
-                                rec.record(
-                                    TraceEvent::new(TraceStage::Submit, target, arrival.time_ns, 0)
-                                        .request(arrival.id),
-                                );
-                            }
-                            replica.queue.push_back(arrival);
-                        } else {
-                            reject(&mut rejected_ids, &mut dropped_rejections, arrival.id);
-                            replica.metrics.record_rejected();
-                        }
-                    }
-                    None => {
-                        // Every replica dead or closed: the submission is
-                        // shed; attribute it to replica 0's counters (the
-                        // pool-level aggregate is what fault benches read).
-                        reject(&mut rejected_ids, &mut dropped_rejections, arrival.id);
-                        replicas[0].metrics.record_rejected();
+                if !core.admit(arrival.time_ns, arrival.id, arrival.key, (), recorder) {
+                    if rejected_ids.len() < REJECTION_LOG_CAP {
+                        rejected_ids.push(arrival.id);
+                    } else {
+                        dropped_rejections += 1;
                     }
                 }
                 continue;
             }
         }
-
         let Some((launch, r)) = next_launch else {
             break; // no queued work and no pending arrivals
         };
-
-        // Launch on replica `r`. An active straggle window scales the
-        // service time; the batch index is the replica's 1-based fault
-        // clock.
-        let batch_index = replicas[r].batches + 1;
-        let take = replicas[r].queue.len().min(max_batch);
-        let batch: Vec<PendingArrival> = replicas[r].queue.drain(..take).collect();
-        // The predictive floor raises the reactive rung; the reactive state
-        // machine itself keeps observing unmodified, staying the fallback.
-        let reactive_mode = replicas[r].state.mode();
-        let mode = controller
-            .as_ref()
-            .map_or(reactive_mode, |c| c.effective_mode(reactive_mode));
-        let session: &Session = sessions[mode].borrow();
-        let (outputs, kernels): (Option<Vec<Inference>>, Vec<LayerKernel>) = if compute_outputs {
-            let batch_inputs: Vec<&Tensor<f32>> =
-                batch.iter().map(|req| &inputs[req.input_index]).collect();
-            match recorder {
+        let launched = core.launch(r, launch, sessions, recorder, |batch, mode| {
+            if !compute_outputs {
+                return Ok((None, Vec::new()));
+            }
+            let session: &Session = sessions[mode].borrow();
+            let batch_inputs: Vec<&Tensor<f32>> = batch
+                .iter()
+                .map(|q| &inputs[q.id as usize % inputs.len()])
+                .collect();
+            Ok(match recorder {
                 Some(_) => {
                     let (outs, kernels) = session.infer_batch_traced(ctx, &batch_inputs)?;
                     (Some(outs), kernels)
@@ -871,301 +721,58 @@ fn simulate_pool_inner<S: Borrow<Session>>(
                     Some(session.infer_batch_refs(ctx, &batch_inputs)?),
                     Vec::new(),
                 ),
-            }
-        } else {
-            (None, Vec::new())
-        };
-        let factor = replicas[r].faults.service_factor_x1024(batch_index);
-        let base_ns = service.batch_ns(session, batch.iter().map(|req| req.key));
-        let service_ns = (base_ns as u128 * factor as u128 / 1024).min(u128::from(u64::MAX)) as u64;
-        let finish = launch.saturating_add(service_ns);
-        let depth_after = replicas[r].queue.len();
-        let replica = &mut replicas[r];
-        replica.metrics.record_batch(batch.len(), depth_after);
-        replica.metrics.record_mode_batch(mode);
-        for request in &batch {
-            replica
-                .metrics
-                .record_stage_split(launch.saturating_sub(request.time_ns), service_ns);
-            replica
-                .metrics
-                .record_latency(finish.saturating_sub(request.time_ns));
-        }
-        match outputs {
+            })
+        })?;
+        match launched.output {
             Some(outs) => {
-                for (request, inference) in batch.iter().zip(outs) {
+                for (q, inference) in launched.batch.iter().zip(outs) {
                     if responses.len() < RESPONSE_LOG_CAP {
-                        responses.push((request.id, inference));
+                        responses.push((q.id, inference));
                     } else {
                         dropped_responses += 1;
                     }
                 }
             }
-            None => dropped_responses += batch.len() as u64,
+            None => dropped_responses += launched.batch.len() as u64,
         }
-        if let Some(rec) = recorder {
-            rec.record(
-                TraceEvent::new(TraceStage::Batch, r, launch, service_ns)
-                    .batch(batch_index)
-                    .mode(mode)
-                    .batch_size(batch.len()),
-            );
-            let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
-            for (kernel, (span_start, span_dur)) in kernels
-                .iter()
-                .zip(layer_intervals(launch, service_ns, &weights))
-            {
-                rec.record(
-                    TraceEvent::new(TraceStage::Kernel, r, span_start, span_dur)
-                        .batch(batch_index)
-                        .mode(mode)
-                        .layer(kernel.layer)
-                        .stats(kernel.stats),
-                );
-            }
-            for request in &batch {
-                rec.record(
-                    TraceEvent::new(
-                        TraceStage::QueueWait,
-                        r,
-                        request.time_ns,
-                        launch.saturating_sub(request.time_ns),
-                    )
-                    .request(request.id)
-                    .batch(batch_index),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Service, r, launch, service_ns)
-                        .request(request.id)
-                        .batch(batch_index)
-                        .mode(mode),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Respond, r, finish, 0)
-                        .request(request.id)
-                        .batch(batch_index),
-                );
-            }
-        }
-        if batches.len() < BATCH_LOG_CAP {
-            batches.push(PoolBatchRecord {
-                replica: r,
-                mode,
-                launch_ns: launch,
-                finish_ns: finish,
-                request_ids: batch.iter().map(|req| req.id).collect(),
-                queue_depth_after: depth_after,
-            });
-        } else {
-            dropped_batches += 1;
-        }
-        replica.t_free = finish;
-
         // Closed loop: completed clients think, then re-submit through the
         // router like any other arrival.
         respawn_closed(
             &mut pending,
             &mut remaining_closed,
             &mut next_id,
-            &batch,
-            finish,
+            launched.batch.len(),
+            launched.launch_ns.saturating_add(launched.service_ns),
             think_ns,
-            inputs.len(),
         );
-
-        // Adaptive evaluation after the batch's latencies landed — the
-        // switch, if any, applies from the replica's next batch on.
-        let p95 = replica.metrics.latency.quantile(0.95);
-        if replica.state.observe_batch(depth_after, p95).is_some() {
-            replica.metrics.record_transition();
-        }
-
-        // Post-batch fault effects, strictly after the adaptive evaluation
-        // (the threaded lockstep gate applies the identical order).
-        replica.batches = batch_index;
-        let post = replica.faults.after_batch(batch_index);
-        if post.stall_ns > 0 {
-            replica.t_free = replica.t_free.saturating_add(post.stall_ns);
-            replica.metrics.record_stall();
-        }
-        if post.close_queue {
-            replica.closed = true;
-        }
-        if post.crashed {
-            replica.crashed = true;
-            replica.closed = true;
-            replica.metrics.record_crash();
-            let crash_time = replica.t_free;
-            let orphans: Vec<PendingArrival> = replica.queue.drain(..).collect();
-            let mut cursor = (r + 1) % replicas.len();
-            let live = controller
-                .as_ref()
-                .map_or(replicas.len(), PoolController::live);
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rep)| (i < live && !rep.crashed && !rep.closed, rep.queue.len()))
-                    .collect();
-                let target = pick_handoff_target(r, &mut cursor, &states, capacity);
-                handoffs.push(HandoffRecord {
-                    from_replica: r,
-                    at_batch: batch_index,
-                    key: orphan.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        replicas[t].queue.push_back(PendingArrival {
-                            ready_ns: crash_time,
-                            ..orphan
-                        });
-                        replicas[r].metrics.record_handoff();
-                    }
-                    None => replicas[r].metrics.record_handoff_shed(),
-                }
-            }
-        }
-
-        // Controller steal pass, strictly after the batch's fault effects:
-        // up to `max_steal` not-yet-batched requests move from the deepest
-        // to the shallowest live queue (the lockstep gate runs the identical
-        // pass at the identical point).
-        if let Some(ctrl) = controller.as_mut() {
-            let depths: Vec<(usize, usize)> = replicas
-                .iter()
-                .enumerate()
-                .take(ctrl.live())
-                .filter(|(_, rep)| !rep.crashed && !rep.closed)
-                .map(|(i, rep)| (i, rep.queue.len()))
-                .collect();
-            if let Some(event) = ctrl.steal_check(launch, &depths, capacity) {
-                if let ControlEventKind::Steal { from, to, moved } = event.kind {
-                    let split = replicas[from].queue.len() - moved;
-                    let stolen = replicas[from].queue.split_off(split);
-                    for request in stolen {
-                        // A stolen request cannot launch on the thief before
-                        // the steal instant; latency stays anchored at its
-                        // arrival.
-                        replicas[to].queue.push_back(PendingArrival {
-                            ready_ns: request.ready_ns.max(event.at_ns),
-                            ..request
-                        });
-                    }
-                    replicas[0].metrics.record_steal(moved);
-                    if let Some(rec) = recorder {
-                        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-                    }
-                }
-            }
-        }
     }
 
-    let makespan_ns = replicas.iter().map(|r| r.t_free).max().unwrap_or(0);
-    let (control_events, dropped_control_events, replica_ns) = match controller {
-        Some(mut ctrl) => {
-            let replica_ns = ctrl.finalize_replica_ns(makespan_ns);
-            let (events, dropped) = ctrl.into_events();
-            (events, dropped, replica_ns)
-        }
-        None => (
-            Vec::new(),
-            0,
-            (pool.replicas as u64).saturating_mul(makespan_ns),
-        ),
-    };
+    let out = core.finish();
     let mut total = ServeMetrics::new();
-    let mut per_replica = Vec::new();
-    let mut transitions = Vec::new();
-    let mut dropped_transitions = 0u64;
-    for replica in replicas {
-        total.merge(&replica.metrics);
-        per_replica.push(replica.metrics.snapshot(makespan_ns));
-        dropped_transitions += replica.state.dropped_transitions();
-        transitions.extend(replica.state.into_transitions());
+    for m in &out.metrics {
+        total.merge(m);
     }
     Ok(PoolSimOutcome {
         responses,
         rejected_ids,
-        batches,
-        transitions,
-        per_replica,
-        metrics: total.snapshot(makespan_ns),
-        handoffs,
-        dropped_batches,
-        dropped_transitions,
+        batches: out.batches,
+        transitions: out.transitions,
+        per_replica: out
+            .metrics
+            .iter()
+            .map(|m| m.snapshot(out.makespan_ns))
+            .collect(),
+        metrics: total.snapshot(out.makespan_ns),
+        handoffs: out.handoffs,
+        dropped_batches: out.dropped_batches,
+        dropped_transitions: out.dropped_transitions,
         dropped_responses,
         dropped_rejections,
-        control_events,
-        dropped_control_events,
-        replica_ns,
-        makespan_ns,
+        control_events: out.control_events,
+        dropped_control_events: out.dropped_control_events,
+        replica_ns: out.replica_ns,
+        makespan_ns: out.makespan_ns,
     })
-}
-
-/// Applies one predictive-shift or scale decision inside the event loop:
-/// counters land on replica 0 (the pool-level aggregate is what control
-/// benches read), an instant [`TraceStage::Control`] span marks the
-/// decision, and a scale-down drains the deactivated replica's queue
-/// through the crash-handoff rule — each orphan re-enqueues on the first
-/// eligible live survivor with its `ready` time at the decision instant, or
-/// is shed when none qualifies, so permits reconcile exactly as they do for
-/// crashes. Steal events never reach here; they are applied at the launch
-/// site where the queue depths were sampled.
-fn apply_scale_event(
-    event: ControlEvent,
-    live_after: usize,
-    replicas: &mut [ReplicaSim],
-    handoffs: &mut Vec<HandoffRecord>,
-    recorder: Option<&TraceRecorder>,
-    capacity: usize,
-) {
-    if let Some(rec) = recorder {
-        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-    }
-    match event.kind {
-        ControlEventKind::PredictiveShift { .. } => {
-            replicas[0].metrics.record_predictive_shift();
-        }
-        ControlEventKind::ScaleUp { .. } => replicas[0].metrics.record_scale_up(),
-        ControlEventKind::ScaleDown { to: deact, .. } => {
-            replicas[0].metrics.record_scale_down();
-            let at_batch = replicas[deact].batches;
-            let orphans: Vec<PendingArrival> = replicas[deact].queue.drain(..).collect();
-            let mut cursor = (deact + 1) % replicas.len();
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rep)| {
-                        (
-                            i < live_after && !rep.crashed && !rep.closed,
-                            rep.queue.len(),
-                        )
-                    })
-                    .collect();
-                let target = pick_handoff_target(deact, &mut cursor, &states, capacity);
-                handoffs.push(HandoffRecord {
-                    from_replica: deact,
-                    at_batch,
-                    key: orphan.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        replicas[t].queue.push_back(PendingArrival {
-                            ready_ns: orphan.ready_ns.max(event.at_ns),
-                            ..orphan
-                        });
-                        replicas[deact].metrics.record_handoff();
-                    }
-                    None => replicas[deact].metrics.record_handoff_shed(),
-                }
-            }
-        }
-        // `on_arrival` only emits shift and scale decisions.
-        ControlEventKind::Steal { .. } => {}
-    }
 }
 
 #[cfg(test)]

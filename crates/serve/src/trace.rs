@@ -12,7 +12,7 @@
 //!   [`ServiceModel`]-derived virtual nanoseconds, so the two drivers emit
 //!   **bit-identical traces** for the same seeded burst — the tracing
 //!   extension of the lockstep determinism contract.
-//! * The wall-clock server and free-running pool stamp events through
+//! * The free-running pool (and the `Server` built on it) stamps events via
 //!   [`Clock::wall`], real elapsed nanoseconds since the recorder's epoch.
 //!
 //! Worker threads record concurrently, so insertion order is not
@@ -414,7 +414,7 @@ pub fn layer_intervals(start_ns: u64, dur_ns: u64, weights: &[u64]) -> Vec<(u64,
     out
 }
 
-/// Everything [`crate::server::execute_batch`] needs to emit wall-clock
+/// Everything the free-running pool worker needs to emit wall-clock
 /// trace events for one batch: the shared recorder plus the batch's
 /// identity on its replica.
 pub(crate) struct BatchTraceCtx<'a> {
