@@ -9,9 +9,9 @@
 //! This module computes the **identical** result — output matrix *and*
 //! [`PeStats`] aggregates, bit for bit — from sparsity structure instead:
 //!
-//! 1. The exact base product `Σ x·w` is computed by the integer GEMM kernels
-//!    of the execution layer (SIMD / packed / blocked — whatever the caller's
-//!    [`ExecContext`] is configured with).
+//! 1. The exact base product `Σ x·w` is computed once per layer by the
+//!    integer GEMM of the caller's `ExecContext` (the VNNI kernel by
+//!    default), over all rows with the worker pool.
 //! 2. Per weight row, 64-bit column bitmasks record which weights are
 //!    nonzero (`wnz`), fit a signed nibble (`wfit`), and are lossy under
 //!    MSB rounding (`wrl`, i.e. `round(w)·16 ≠ w`). Collision structure is
@@ -48,7 +48,6 @@ use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
 use nbsmt_quant::reduce::{
     fits_nibble_signed, fits_nibble_unsigned, round_to_nibble_signed, round_to_nibble_unsigned,
 };
-use nbsmt_tensor::exec::{ExecContext, PackedRhs};
 
 use crate::pe::PeStats;
 use crate::policy::{SharingPolicy, WidthMode};
@@ -56,6 +55,7 @@ use crate::ThreadCount;
 
 /// Per-weight-row column bitmasks and precomputed rounded weights, built
 /// once per `execute` call and shared read-only by every row tile.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct WeightTables {
     /// Words per row: `ceil(n / 64)`.
     nw: usize,
@@ -73,6 +73,52 @@ pub(crate) struct WeightTables {
 
 impl WeightTables {
     pub(crate) fn new(w: &QuantWeightMatrix) -> Self {
+        let (k, n) = (w.rows(), w.cols());
+        let wv = w.values().as_slice();
+        let nw = n.div_ceil(64);
+        // `round(w)·16` for every i8, indexed by the weight's byte.
+        let r16: [i32; 256] =
+            std::array::from_fn(|byte| i32::from(round_to_nibble_signed(byte as u8 as i8)) * 16);
+        let mut wnz = vec![0u64; k * nw];
+        let mut wfit = vec![0u64; k * nw];
+        let mut wrl = vec![0u64; k * nw];
+        let mut wr16 = vec![0i32; k * n];
+        let mut wnz_count = vec![0u64; k];
+        for p in 0..k {
+            let row = &wv[p * n..(p + 1) * n];
+            let rounded = &mut wr16[p * n..(p + 1) * n];
+            // One 64-column word at a time, each bit set branch-free.
+            for (wi, (cols, rcols)) in row.chunks(64).zip(rounded.chunks_mut(64)).enumerate() {
+                let (mut nz, mut fit, mut rl) = (0u64, 0u64, 0u64);
+                for (bit, (&v, r)) in cols.iter().zip(rcols.iter_mut()).enumerate() {
+                    *r = r16[usize::from(v as u8)];
+                    nz |= u64::from(v != 0) << bit;
+                    fit |= u64::from(fits_nibble_signed(v)) << bit;
+                    rl |= u64::from(*r != i32::from(v)) << bit;
+                }
+                wnz[p * nw + wi] = nz;
+                wfit[p * nw + wi] = fit;
+                wrl[p * nw + wi] = rl;
+            }
+            wnz_count[p] = wnz[p * nw..(p + 1) * nw]
+                .iter()
+                .map(|w| u64::from(w.count_ones()))
+                .sum();
+        }
+        WeightTables {
+            nw,
+            wnz,
+            wfit,
+            wrl,
+            wr16,
+            wnz_count,
+        }
+    }
+
+    /// The tables as first written (one bit and one f32 rounding per
+    /// weight), kept as the test oracle for [`Self::new`].
+    #[cfg(test)]
+    fn new_direct(w: &QuantWeightMatrix) -> Self {
         let (k, n) = (w.rows(), w.cols());
         let wv = w.values().as_slice();
         let nw = n.div_ceil(64);
@@ -136,34 +182,23 @@ fn for_each_bit(mut word: u64, wi: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Emulates output rows `row_start .. row_start + nrows` through the fast
-/// path. `base` must be a 1-thread context (the caller already owns the
-/// row-tile fan-out); `pack` optionally supplies pre-packed weights for the
-/// base GEMM.
+/// Applies the fast path to output rows `row_start .. row_start + nrows`:
+/// `acc` holds those rows of the exact base product `X·W` and receives the
+/// squeeze deltas in place. Returns the rows' [`PeStats`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rows_fast(
-    base: &ExecContext,
     tables: &WeightTables,
     threads: ThreadCount,
     policy: SharingPolicy,
     x: &QuantMatrix,
     w: &QuantWeightMatrix,
-    pack: Option<&PackedRhs<i8>>,
     row_start: usize,
     nrows: usize,
-    out: &mut [f32],
+    acc: &mut [i64],
 ) -> PeStats {
     let (k, n) = (x.cols(), w.cols());
     let xv = x.values().as_slice();
     let wv = w.values().as_slice();
-
-    // Exact base product through the configured integer kernel.
-    let mut acc = vec![0i64; nrows * n];
-    let a_rows = &xv[row_start * k..(row_start + nrows) * k];
-    match pack {
-        Some(pack) => base.gemm_u8i8_prepacked(nrows, a_rows, pack, &mut acc),
-        None => base.gemm_u8i8(nrows, k, n, a_rows, wv, &mut acc),
-    }
 
     let mut stats = PeStats::default();
     match threads {
@@ -184,19 +219,13 @@ pub(crate) fn rows_fast(
         }
         ThreadCount::Two => {
             rows_two_fast(
-                tables, policy, xv, wv, k, n, row_start, nrows, &mut acc, &mut stats,
+                tables, policy, xv, wv, k, n, row_start, nrows, acc, &mut stats,
             );
         }
         ThreadCount::Four => {
             rows_four_fast(
-                tables, policy, xv, wv, k, n, row_start, nrows, &mut acc, &mut stats,
+                tables, policy, xv, wv, k, n, row_start, nrows, acc, &mut stats,
             );
-        }
-    }
-
-    for r in 0..nrows {
-        for j in 0..n {
-            out[r * n + j] = acc[r * n + j] as f32 * x.scale() * w.scale(j);
         }
     }
     stats
@@ -484,5 +513,46 @@ fn quad_deltas(
                 acc[j] += x as i64 * (tables.wr16[p * n + j] as i64 - wv[p * n + j] as i64);
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nbsmt_tensor::tensor::Matrix;
+
+    #[test]
+    fn weight_tables_match_the_oracle() {
+        let mut state = 7_u64;
+        for k in [0usize, 1, 3, 20] {
+            for n in [0usize, 1, 63, 64, 65, 130] {
+                let values: Vec<i8> = (0..k * n)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        // A quarter zeros; the rest spans all of i8.
+                        if (state >> 62) == 0 {
+                            0
+                        } else {
+                            (state >> 33) as u8 as i8
+                        }
+                    })
+                    .collect();
+                let w = QuantWeightMatrix::with_uniform_scale(
+                    Matrix::from_vec(values, k, n).unwrap(),
+                    1.0,
+                );
+                assert_eq!(
+                    WeightTables::new(&w),
+                    WeightTables::new_direct(&w),
+                    "{k}x{n}"
+                );
+            }
+        }
+        // Every i8 value in one row.
+        let all: Vec<i8> = (0..=255u8).map(|b| b as i8).collect();
+        let w = QuantWeightMatrix::with_uniform_scale(Matrix::from_vec(all, 1, 256).unwrap(), 1.0);
+        assert_eq!(WeightTables::new(&w), WeightTables::new_direct(&w));
     }
 }

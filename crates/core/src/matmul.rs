@@ -25,12 +25,13 @@
 use serde::{Deserialize, Serialize};
 
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
-use nbsmt_sparsity::reorder::ColumnOrder;
+use nbsmt_quant::quantize::dequantize_product;
+use nbsmt_sparsity::reorder::reorder_for_threads;
 use nbsmt_tensor::error::TensorError;
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Matrix;
 
-use nbsmt_tensor::exec::{ExecConfig, GemmBackendKind, PackedRhs};
+use nbsmt_tensor::exec::PackedRhs;
 
 use crate::fastpath;
 use crate::pe::{PeStats, SmtPe2, SmtPe4, ThreadInput};
@@ -118,17 +119,18 @@ impl NbSmtMatmul {
     }
 
     /// [`Self::execute`] through the given execution context, on the
-    /// **algorithmic fast path**: the exact base product runs through the
-    /// context's integer GEMM kernel (SIMD/packed/blocked), collision and
-    /// squeeze structure is computed with per-tile bitmask popcount algebra,
-    /// and lossy thread-slots are applied as sparse integer deltas. The
+    /// **algorithmic fast path**: the exact base product runs once per
+    /// layer through the context's integer GEMM (the VNNI kernel where the
+    /// host has it), collision and squeeze structure is computed with
+    /// per-tile bitmask popcount algebra, and lossy thread-slots are applied
+    /// to the base product as sparse integer deltas. The
     /// result — output matrix and [`PeStats`] alike — is **bit-identical**
     /// to the event-walking oracle ([`Self::execute_event_with`]) for every
     /// configuration and thread count (cross-checked by the property suite
     /// in `tests/exec_equivalence.rs`).
     ///
-    /// Output rows are partitioned into tiles and fanned out over the
-    /// context's worker pool, and each tile's [`PeStats`] are merged back
+    /// The base GEMM and the delta pass both fan output-row tiles out over
+    /// the context's worker pool, and each tile's [`PeStats`] are merged back
     /// **in tile order**, so results are also invariant to the host thread
     /// count.
     ///
@@ -184,11 +186,7 @@ impl NbSmtMatmul {
         // caller-supplied pack: the weight rows are permuted per call.
         let (x_owned, w_owned);
         let (x, w, pack) = if self.config.reorder && self.config.threads.count() > 1 {
-            let order = ColumnOrder::from_permutation(
-                nbsmt_sparsity::reorder::reorder_for_threads(x, self.config.threads.count())
-                    .as_slice()
-                    .to_vec(),
-            );
+            let order = reorder_for_threads(x, self.config.threads.count());
             x_owned = order.apply_to_activation(x);
             w_owned = order.apply_to_weights(w);
             (&x_owned, &w_owned, None)
@@ -196,37 +194,23 @@ impl NbSmtMatmul {
             (x, w, pack)
         };
 
-        // With the packing backend but no caller-supplied pack, pack once
-        // here rather than once per row tile inside the base GEMM.
-        let local_pack;
-        let pack = match pack {
-            None if ctx.config().backend == GemmBackendKind::Packed => {
-                local_pack = PackedRhs::pack(w.rows(), w.cols(), w.values().as_slice());
-                Some(&local_pack)
-            }
-            other => other,
-        };
-
+        // The exact base product, once per layer over all rows with the
+        // pool; the row tiles then apply squeeze deltas to it in place.
+        let (m, k, n) = (x.rows(), x.cols(), w.cols());
+        let (xv, wv) = (x.values().as_slice(), w.values().as_slice());
+        let mut acc = vec![0_i64; m * n];
+        match pack {
+            Some(pack) => ctx.gemm_u8i8_prepacked(m, xv, pack, &mut acc),
+            None => ctx.gemm_u8i8(m, k, n, xv, wv, &mut acc),
+        }
         let tables = fastpath::WeightTables::new(w);
-        // Each row tile runs its base GEMM inline on the worker that owns
-        // it; the caller's thread pool is already saturated by the tile
-        // fan-out.
-        let base = ExecContext::new(ExecConfig {
-            threads: 1,
-            ..*ctx.config()
-        });
-
-        let (m, n) = (x.rows(), w.cols());
-        let mut out = vec![0.0_f32; m * n];
-        let tile_stats = ctx.map_row_tiles(&mut out, m, n, |_tile, row_start, nrows, chunk| {
+        let tile_stats = ctx.map_row_tiles(&mut acc, m, n, |_tile, row_start, nrows, chunk| {
             fastpath::rows_fast(
-                &base,
                 &tables,
                 self.config.threads,
                 self.config.policy,
                 x,
                 w,
-                pack,
                 row_start,
                 nrows,
                 chunk,
@@ -239,7 +223,7 @@ impl NbSmtMatmul {
             stats.merge(tile);
         }
         Ok(NbSmtOutput {
-            output: Matrix::from_vec(out, m, n)?,
+            output: dequantize_product(x, w, &acc)?,
             stats,
         })
     }
@@ -289,11 +273,7 @@ impl NbSmtMatmul {
         // columns and the matching weight rows).
         let (x_owned, w_owned);
         let (x, w) = if self.config.reorder && self.config.threads.count() > 1 {
-            let order = ColumnOrder::from_permutation(
-                nbsmt_sparsity::reorder::reorder_for_threads(x, self.config.threads.count())
-                    .as_slice()
-                    .to_vec(),
-            );
+            let order = reorder_for_threads(x, self.config.threads.count());
             x_owned = order.apply_to_activation(x);
             w_owned = order.apply_to_weights(w);
             (&x_owned, &w_owned)
@@ -789,7 +769,7 @@ mod tests {
 
     #[test]
     fn fast_path_prepacked_and_backends_are_invariant() {
-        use nbsmt_tensor::exec::GemmBackendKind;
+        use nbsmt_tensor::exec::{ExecConfig, GemmBackendKind};
         let (x, w) = random_layer(15, 9, 40, 21, 0.4);
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: ThreadCount::Two,

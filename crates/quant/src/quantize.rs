@@ -144,12 +144,7 @@ pub fn quantized_matmul_with(
         w.values().as_slice(),
         &mut acc,
     );
-    let out: Vec<f32> = acc
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v as f32 * x.scale() * w.scale(i % n))
-        .collect();
-    Matrix::from_vec(out, m, n)
+    dequantize_product(x, w, &acc)
 }
 
 /// [`quantized_matmul_with`] against a weight matrix that was packed once
@@ -179,11 +174,31 @@ pub fn quantized_matmul_prepacked(
     let (m, n) = (x.rows(), w.cols());
     let mut acc = vec![0_i64; m * n];
     ctx.gemm_u8i8_prepacked(m, x.values().as_slice(), pack, &mut acc);
-    let out: Vec<f32> = acc
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v as f32 * x.scale() * w.scale(i % n))
-        .collect();
+    dequantize_product(x, w, &acc)
+}
+
+/// Dequantizes the exact integer product of `x · w`: `acc` is the
+/// row-major `x.rows() × w.cols()` accumulator matrix, and element `(i, j)`
+/// becomes `acc[i, j] · x.scale() · w.scale(j)`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeDataMismatch`] when `acc` does not hold
+/// `x.rows() × w.cols()` elements.
+pub fn dequantize_product(
+    x: &QuantMatrix,
+    w: &QuantWeightMatrix,
+    acc: &[i64],
+) -> Result<Matrix<f32>, TensorError> {
+    let (m, n) = (x.rows(), w.cols());
+    let mut out = Vec::with_capacity(acc.len());
+    for row in acc.chunks(n.max(1)) {
+        out.extend(
+            row.iter()
+                .zip(w.scales())
+                .map(|(&v, &s)| v as f32 * x.scale() * s),
+        );
+    }
     Matrix::from_vec(out, m, n)
 }
 

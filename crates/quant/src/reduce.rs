@@ -164,6 +164,45 @@ pub fn reduction_error_signed(v: i8) -> u32 {
 mod tests {
     use super::*;
 
+    /// The paper's on-the-fly quantization written out: round `v` to the
+    /// nearest whole multiple of 16 (ties away from zero) and keep the
+    /// multiple's nibble, saturated to `lo ..= hi`.
+    fn paper_nibble(v: i32, lo: i32, hi: i32) -> i32 {
+        let nearest = (-8..=16)
+            .map(|q| q * 16)
+            .min_by_key(|&m: &i32| ((m - v).abs(), -m.abs()))
+            .expect("non-empty range");
+        (nearest / 16).clamp(lo, hi)
+    }
+
+    #[test]
+    fn nibble_helpers_follow_the_paper_on_every_input() {
+        for byte in 0..=255u8 {
+            // Unsigned activations: 4-bit MSB nibble in 0..=15; fits iff the
+            // 4 MSBs are zero.
+            let u = i32::from(byte);
+            assert_eq!(
+                i32::from(round_to_nibble_unsigned(byte)),
+                paper_nibble(u, 0, 15),
+                "unsigned {byte}"
+            );
+            assert_eq!(
+                fits_nibble_unsigned(byte),
+                byte >> 4 == 0,
+                "unsigned {byte}"
+            );
+            // Signed weights: signed nibble in -8..=7; fits iff the value
+            // equals its own sign-extended low nibble.
+            let v = byte as i8;
+            assert_eq!(
+                i32::from(round_to_nibble_signed(v)),
+                paper_nibble(i32::from(v), -8, 7),
+                "signed {v}"
+            );
+            assert_eq!(fits_nibble_signed(v), (v << 4) >> 4 == v, "signed {v}");
+        }
+    }
+
     #[test]
     fn nibble_fit_checks() {
         assert!(fits_nibble_unsigned(0));

@@ -121,36 +121,13 @@ impl ColumnOrder {
 /// and narrow columns meet narrow columns, exactly the pairing goal of
 /// Fig. 4.
 pub fn reorder_for_two_threads(calibration: &QuantMatrix) -> ColumnOrder {
-    let k = calibration.cols();
-    if k < 2 {
-        return ColumnOrder::identity(k);
-    }
-    let wide = per_column_wide_fraction(calibration);
-    let zero = per_column_zero_fraction(calibration);
-    // Demand score: wide columns are the most demanding; zero-heavy columns
-    // the least.
-    let mut ranked: Vec<usize> = (0..k).collect();
-    ranked.sort_by(|&a, &b| {
-        let da = wide[a] - zero[a];
-        let db = wide[b] - zero[b];
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // First half positions (thread 1): take demanding columns in order.
-    // Second half positions (thread 2): take remaining columns so that
-    // position i of thread 2 holds the (k-1-i)-th ranked column.
-    let half = k / 2;
-    let mut order = vec![0usize; k];
-    order[..half].copy_from_slice(&ranked[..half]);
-    let second_len = k - half;
-    for i in 0..second_len {
-        order[half + i] = ranked[k - 1 - i];
-    }
-    ColumnOrder::from_permutation(order)
+    reorder_for_threads(calibration, 2)
 }
 
 /// Builds a collision-avoiding order for a `threads`-way split: columns are
 /// ranked by demand and dealt snake-wise across the thread segments so each
-/// position mixes demanding and light columns.
+/// position mixes demanding and light columns (for two threads, the pairing
+/// of [`reorder_for_two_threads`]).
 ///
 /// # Panics
 ///
@@ -161,17 +138,38 @@ pub fn reorder_for_threads(calibration: &QuantMatrix, threads: usize) -> ColumnO
     if threads == 1 || k < threads {
         return ColumnOrder::identity(k);
     }
-    if threads == 2 {
-        return reorder_for_two_threads(calibration);
-    }
-    let wide = per_column_wide_fraction(calibration);
-    let zero = per_column_zero_fraction(calibration);
+    order_from_stats(
+        threads,
+        &per_column_wide_fraction(calibration),
+        &per_column_zero_fraction(calibration),
+    )
+}
+
+/// The order for a `threads`-way split (`2 <= threads <= k`) of the `k`
+/// columns whose wide and zero fractions are `wide` and `zero`.
+fn order_from_stats(threads: usize, wide: &[f64], zero: &[f64]) -> ColumnOrder {
+    let k = wide.len();
+    // Demand score: wide columns are the most demanding; zero-heavy columns
+    // the least.
     let mut ranked: Vec<usize> = (0..k).collect();
     ranked.sort_by(|&a, &b| {
         let da = wide[a] - zero[a];
         let db = wide[b] - zero[b];
         db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
     });
+    if threads == 2 {
+        // First half positions (thread 1): take demanding columns in order.
+        // Second half positions (thread 2): take remaining columns so that
+        // position i of thread 2 holds the (k-1-i)-th ranked column.
+        let half = k / 2;
+        let mut order = vec![0usize; k];
+        order[..half].copy_from_slice(&ranked[..half]);
+        let second_len = k - half;
+        for i in 0..second_len {
+            order[half + i] = ranked[k - 1 - i];
+        }
+        return ColumnOrder::from_permutation(order);
+    }
     // Segment s gets positions [s*seg, (s+1)*seg). Deal ranked columns
     // snake-wise across segments position by position.
     let seg = k / threads;
@@ -309,6 +307,30 @@ mod tests {
             let mut seen: Vec<usize> = ord.as_slice().to_vec();
             seen.sort_unstable();
             assert_eq!(seen, (0..cols).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn reorder_matches_the_oracle_statistics() {
+        use crate::stats::oracle;
+        let mut seed = 100;
+        for rows in [0usize, 1, 7, 40] {
+            for cols in [0usize, 1, 2, 3, 5, 16, 37] {
+                seed += 1;
+                let x = oracle::random_activations(rows, cols, seed);
+                for threads in [2usize, 4] {
+                    let want = if cols < threads {
+                        ColumnOrder::identity(cols)
+                    } else {
+                        order_from_stats(
+                            threads,
+                            &oracle::per_column_wide_fraction(&x),
+                            &oracle::per_column_zero_fraction(&x),
+                        )
+                    };
+                    assert_eq!(reorder_for_threads(&x, threads), want, "{rows}x{cols}");
+                }
+            }
         }
     }
 

@@ -183,41 +183,35 @@ pub fn activation_stats(x: &QuantMatrix) -> ActivationStats {
 /// Per-column statistics of an activation matrix, used by the reordering
 /// pass: the fraction of wide (8-bit) values in each column of `X`.
 pub fn per_column_wide_fraction(x: &QuantMatrix) -> Vec<f64> {
-    let (rows, cols) = (x.rows(), x.cols());
-    let mut wide = vec![0usize; cols];
-    let xv = x.values().as_slice();
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = xv[r * cols + c];
-            if v != 0 && !fits_nibble_unsigned(v) {
-                wide[c] += 1;
-            }
-        }
-    }
-    wide.iter()
-        .map(|&n| {
-            if rows == 0 {
-                0.0
-            } else {
-                n as f64 / rows as f64
-            }
-        })
-        .collect()
+    per_column_fraction(x, |v| v != 0 && !fits_nibble_unsigned(v))
 }
 
 /// Per-column zero fraction of an activation matrix.
 pub fn per_column_zero_fraction(x: &QuantMatrix) -> Vec<f64> {
+    per_column_fraction(x, |v| v == 0)
+}
+
+/// Fraction of rows whose value in each column satisfies `pred`. Counts go
+/// row slice by row slice into `u32` lanes so the loop vectorises; blocks
+/// of at most `u32::MAX` rows keep the lanes from wrapping.
+fn per_column_fraction(x: &QuantMatrix, pred: impl Fn(u8) -> bool) -> Vec<f64> {
     let (rows, cols) = (x.rows(), x.cols());
-    let mut zeros = vec![0usize; cols];
-    let xv = x.values().as_slice();
-    for r in 0..rows {
-        for c in 0..cols {
-            if xv[r * cols + c] == 0 {
-                zeros[c] += 1;
+    let mut counts = vec![0u64; cols];
+    if cols > 0 {
+        let mut lanes = vec![0u32; cols];
+        let block = cols.saturating_mul(u32::MAX as usize);
+        for rows_block in x.values().as_slice().chunks(block) {
+            for row in rows_block.chunks_exact(cols) {
+                for (lane, &v) in lanes.iter_mut().zip(row) {
+                    *lane += u32::from(pred(v));
+                }
+            }
+            for (count, lane) in counts.iter_mut().zip(lanes.iter_mut()) {
+                *count += u64::from(std::mem::take(lane));
             }
         }
     }
-    zeros
+    counts
         .iter()
         .map(|&n| {
             if rows == 0 {
@@ -229,10 +223,103 @@ pub fn per_column_zero_fraction(x: &QuantMatrix) -> Vec<f64> {
         .collect()
 }
 
+/// The per-column statistics as first written (a branchy `usize` count per
+/// element), kept as test oracles for the vectorised versions.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    fn fractions(counts: Vec<usize>, rows: usize) -> Vec<f64> {
+        counts
+            .iter()
+            .map(|&n| {
+                if rows == 0 {
+                    0.0
+                } else {
+                    n as f64 / rows as f64
+                }
+            })
+            .collect()
+    }
+
+    pub(crate) fn per_column_wide_fraction(x: &QuantMatrix) -> Vec<f64> {
+        let (rows, cols) = (x.rows(), x.cols());
+        let mut wide = vec![0usize; cols];
+        let xv = x.values().as_slice();
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = xv[r * cols + c];
+                if v != 0 && !fits_nibble_unsigned(v) {
+                    wide[c] += 1;
+                }
+            }
+        }
+        fractions(wide, rows)
+    }
+
+    pub(crate) fn per_column_zero_fraction(x: &QuantMatrix) -> Vec<f64> {
+        let (rows, cols) = (x.rows(), x.cols());
+        let mut zeros = vec![0usize; cols];
+        let xv = x.values().as_slice();
+        for r in 0..rows {
+            for c in 0..cols {
+                if xv[r * cols + c] == 0 {
+                    zeros[c] += 1;
+                }
+            }
+        }
+        fractions(zeros, rows)
+    }
+
+    /// A seeded `rows × cols` activation matrix: a third zeros, the rest
+    /// split between narrow and wide values.
+    pub(crate) fn random_activations(rows: usize, cols: usize, seed: u64) -> QuantMatrix {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let data = (0..rows * cols)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let v = (state >> 33) as u8;
+                match (state >> 60) % 3 {
+                    0 => 0,
+                    1 => v % 16,
+                    _ => v,
+                }
+            })
+            .collect();
+        QuantMatrix::new(
+            nbsmt_tensor::tensor::Matrix::from_vec(data, rows, cols).expect("dims"),
+            1.0,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nbsmt_tensor::tensor::Matrix;
+
+    #[test]
+    fn per_column_fractions_match_the_oracle() {
+        let mut seed = 0;
+        for rows in [0usize, 1, 3, 17, 64] {
+            for cols in [0usize, 1, 5, 33] {
+                seed += 1;
+                let x = oracle::random_activations(rows, cols, seed);
+                assert_eq!(
+                    per_column_wide_fraction(&x),
+                    oracle::per_column_wide_fraction(&x),
+                    "{rows}x{cols}"
+                );
+                assert_eq!(
+                    per_column_zero_fraction(&x),
+                    oracle::per_column_zero_fraction(&x),
+                    "{rows}x{cols}"
+                );
+            }
+        }
+    }
 
     fn qx(data: Vec<u8>, rows: usize, cols: usize) -> QuantMatrix {
         QuantMatrix::new(Matrix::from_vec(data, rows, cols).unwrap(), 1.0)

@@ -230,7 +230,8 @@ impl OutputStationaryArray {
     /// Estimates cycles and utilization without streaming every PE slot,
     /// using the tiling plan for cycles and the exact operand-pair census for
     /// utilization. Produces the same [`SimStats`] totals as [`Self::matmul`]
-    /// but in `O(M·K·N)` without per-cycle overhead; used for large layers.
+    /// in `O(M·K + K·N)`: a PE is busy at `(i, p, j)` iff `x[i,p] ≠ 0` and
+    /// `w[p,j] ≠ 0`, so the busy count is `Σ_{x[i,p]≠0} nnz(w row p)`.
     ///
     /// # Errors
     ///
@@ -245,22 +246,7 @@ impl OutputStationaryArray {
         }
         let (m, k, n) = (x.rows(), x.cols(), w.cols());
         let plan = TilingPlan::new(m, k, n, self.config.rows, self.config.cols);
-        let mut busy = 0u64;
-        let xv = x.as_slice();
-        let wv = w.as_slice();
-        for i in 0..m {
-            for p in 0..k {
-                let xval = xv[i * k + p];
-                if xval == 0 {
-                    continue;
-                }
-                for j in 0..n {
-                    if wv[p * n + j] != 0 {
-                        busy += 1;
-                    }
-                }
-            }
-        }
+        let busy = busy_pairs(x, w);
         Ok(SimStats {
             cycles: plan.total_cycles(),
             pe_active_cycles: plan.total_macs(),
@@ -269,6 +255,53 @@ impl OutputStationaryArray {
             tiles: plan.tile_count() as u64,
         })
     }
+}
+
+/// Number of `(i, p, j)` with `x[i,p] ≠ 0` and `w[p,j] ≠ 0`, as
+/// `Σ_i Σ_p [x[i,p] ≠ 0]·nnz(w row p)` with a branch-free inner loop.
+fn busy_pairs(x: &Matrix<u8>, w: &Matrix<i8>) -> u64 {
+    let (k, n) = (x.cols(), w.cols());
+    if k == 0 {
+        return 0;
+    }
+    let row_nnz: Vec<u64> = w
+        .as_slice()
+        .chunks(n.max(1))
+        .take(k)
+        .map(|row| row.iter().map(|&v| u64::from(v != 0)).sum())
+        .collect();
+    x.as_slice()
+        .chunks_exact(k)
+        .map(|xrow| {
+            xrow.iter()
+                .zip(&row_nnz)
+                .map(|(&xv, &nnz)| nnz * u64::from(xv != 0))
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+/// The direct `O(M·K·N)` census, kept as the oracle for [`busy_pairs`].
+#[cfg(test)]
+fn busy_pairs_direct(x: &Matrix<u8>, w: &Matrix<i8>) -> u64 {
+    let (m, k, n) = (x.rows(), x.cols(), w.cols());
+    let mut busy = 0u64;
+    let xv = x.as_slice();
+    let wv = w.as_slice();
+    for i in 0..m {
+        for p in 0..k {
+            let xval = xv[i * k + p];
+            if xval == 0 {
+                continue;
+            }
+            for j in 0..n {
+                if wv[p * n + j] != 0 {
+                    busy += 1;
+                }
+            }
+        }
+    }
+    busy
 }
 
 #[cfg(test)]
@@ -383,6 +416,52 @@ mod tests {
         assert_eq!(est.cycles, exact.stats.cycles);
         assert_eq!(est.pe_busy_cycles, exact.stats.pe_busy_cycles);
         assert_eq!(est.mac_ops, exact.stats.mac_ops);
+    }
+
+    #[test]
+    fn estimate_matches_direct_census_on_random_and_degenerate_shapes() {
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
+        let dims = [0usize, 1, 2, 7, 17, 40];
+        for &m in &dims {
+            for &k in &dims {
+                for &n in &dims {
+                    // Sparse to dense: keep one operand in `keep` of 4.
+                    let keep = 1 + next(4);
+                    let x: Vec<u8> = (0..m * k)
+                        .map(|_| if next(4) < keep { next(256) as u8 } else { 0 })
+                        .collect();
+                    let w: Vec<i8> = (0..k * n)
+                        .map(|_| {
+                            if next(4) < keep {
+                                next(256) as u8 as i8
+                            } else {
+                                0
+                            }
+                        })
+                        .collect();
+                    let (x, w) = (x_mat(x, m, k), w_mat(w, k, n));
+                    let direct = busy_pairs_direct(&x, &w);
+                    assert_eq!(busy_pairs(&x, &w), direct, "shape {m}x{k}x{n}");
+                    let est = array.estimate(&x, &w).unwrap();
+                    let plan = TilingPlan::new(m, k, n, 4, 4);
+                    let want = SimStats {
+                        cycles: plan.total_cycles(),
+                        pe_active_cycles: plan.total_macs(),
+                        pe_busy_cycles: direct,
+                        mac_ops: direct,
+                        tiles: plan.tile_count() as u64,
+                    };
+                    assert_eq!(est, want, "shape {m}x{k}x{n}");
+                }
+            }
+        }
     }
 
     #[test]

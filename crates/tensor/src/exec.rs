@@ -6,40 +6,48 @@
 //! and the cycle-level systolic walker — runs through this module. The
 //! context owns two orthogonal decisions:
 //!
-//! * **Kernel choice** ([`GemmBackend`]): [`Naive`] (the seed scalar loop),
-//!   [`Blocked`] (cache-tiled over row and reduction blocks), [`Parallel`]
-//!   (row-tile fan-out of the blocked kernel over the pool), [`Simd`]
+//! * **Kernel choice** ([`GemmBackend`]): [`Naive`] (the seed scalar loop,
+//!   and the oracle every other kernel is checked against), [`Blocked`]
+//!   (cache-tiled over row and reduction blocks), [`Parallel`] (row-tile
+//!   fan-out of the blocked kernel over the pool), [`Simd`]
 //!   (runtime-detected AVX2 intrinsics with a portable unrolled fallback),
 //!   or [`Packed`] (B packed into column panels + register-blocked
 //!   microkernel; see [`PackedRhs`] for the reusable-pack entry point).
+//!   On hosts with AVX-512 F + VNNI, [`Parallel`] and [`Simd`] run their
+//!   u8×i8 GEMM on one `vpdpbusd` kernel instead (B packed once per call
+//!   into 16-column panels of k-quads, row tiles fanned out over the pool);
+//!   other hosts keep the kernels above.
 //! * **Worker pool** (`threads`): scoped `std::thread` workers over a
 //!   deterministic, contiguous partition of the tile space.
 //!
 //! # Determinism contract
 //!
 //! Integer results (`i32`, `u8×i8`) are **bit-exact across backends and
-//! invariant to thread count**:
+//! invariant to thread count**, because integer arithmetic is exact:
 //!
 //! * Work is partitioned into *row tiles* (or output tiles for the systolic
-//!   walker). Each tile's computation is independent and identical to the
-//!   sequential kernel's for those rows; per-element accumulation always
-//!   visits the reduction dimension in ascending order, with the same
-//!   zero-skip rule in every kernel.
+//!   walker), each computed independently of the others.
+//! * Every accumulator is wide enough for its reduction, so the order in
+//!   which products are summed cannot change the result. The scalar and
+//!   AVX2 kernels accumulate in i64. The VNNI kernel accumulates in i32
+//!   lanes over k-blocks of at most 65 792 steps (`65 792·255·128 < 2³¹`,
+//!   so no lane can wrap) and widen-adds each block into the i64 output;
+//!   it is exact for every `k`, with no error path.
 //! * Per-tile side results (PE statistics, cycle counts) are returned to the
 //!   caller **in tile order** regardless of which worker produced them, and
 //!   callers reduce them in that order.
 //!
-//! For **f32** the same bit-exact guarantee holds for every backend *except*
-//! [`Simd`]: its AVX2 kernel keeps several lane accumulators per output
-//! element (and fuses multiply-add where FMA is available), which reassociates
-//! the reduction. [`Simd`] f32 is the explicitly declared **fast-f32 tier**:
+//! For **f32**, where summation order does matter, every kernel except
+//! [`Simd`]'s visits the reduction dimension in ascending order with the
+//! same zero-skip rule, so the same bit-exact guarantee holds. [`Simd`]'s
+//! AVX2 f32 kernel keeps several lane accumulators per output element (and
+//! fuses multiply-add where FMA is available), which reassociates the
+//! reduction. [`Simd`] f32 is the explicitly declared **fast-f32 tier**:
 //! per element, results agree with the scalar reference to within
 //! `1e-5 × Σₚ|aₚ·bₚ|` (tolerance relative to the ℓ1 magnitude of the
 //! reduction, which stays meaningful under cancellation; enforced by
 //! `tests/exec_equivalence.rs`), and remain deterministic for a fixed host
-//! CPU. All integer kernels — including
-//! [`Simd`]'s, whose lane loops preserve the ascending-`k` order per element
-//! exactly — stay on the bit-exact tier.
+//! CPU.
 //!
 //! Any future backend (wider SIMD, distributed) slots in by implementing
 //! [`GemmBackend`] and honouring the same contract.
@@ -53,11 +61,13 @@ pub enum GemmBackendKind {
     Naive,
     /// Cache-tiled kernel: row blocks × reduction blocks, ascending.
     Blocked,
-    /// Row-tile fan-out of the blocked kernel over the worker pool.
+    /// Row-tile fan-out of the blocked kernel over the worker pool (u8×i8:
+    /// the VNNI kernel where the host has it).
     #[default]
     Parallel,
     /// Runtime-detected AVX2 kernels (bit-exact integers, fast-f32 tier)
-    /// with a portable unrolled fallback on other hosts.
+    /// with a portable unrolled fallback on other hosts (u8×i8: the VNNI
+    /// kernel where the host has it).
     Simd,
     /// Packs B into column panels, then runs a register-blocked microkernel
     /// over the panels. Bit-exact for every element type.
@@ -255,10 +265,11 @@ impl ExecContext {
     ///
     /// The caller packs `b` once with [`PackedRhs::pack`] and amortises the
     /// pack across calls (the serve stack caches one pack per layer per
-    /// session). Results are bit-identical to [`Self::gemm_u8i8`] on the
-    /// original `b` under every backend — the microkernel preserves the
-    /// ascending-`k`, zero-skip accumulation order per element — so callers
-    /// may switch between the packed and unpacked entry points freely.
+    /// session). It always runs the portable panel microkernel on the
+    /// calling thread. Results are bit-identical to [`Self::gemm_u8i8`] on
+    /// the original `b` under every backend — integer accumulation is exact
+    /// — so callers may switch between the packed and unpacked entry points
+    /// freely.
     ///
     /// # Panics
     ///
@@ -695,7 +706,8 @@ impl GemmBackend for Blocked {
     }
 }
 
-/// Row-tile fan-out of the blocked kernel over the context's worker pool.
+/// Row-tile fan-out of the blocked kernel over the context's worker pool;
+/// the u8×i8 GEMM runs the VNNI kernel where the host has it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Parallel;
 
@@ -737,7 +749,7 @@ impl GemmBackend for Parallel {
         b: &[i8],
         out: &mut [i64],
     ) {
-        parallel_gemm::<U8I8Gemm>(ctx, m, k, n, a, b, out);
+        u8i8_vnni_or(vnni::detect(), parallel_u8i8, ctx, m, k, n, a, b, out);
     }
 }
 
@@ -1027,9 +1039,313 @@ mod avx2 {
     }
 }
 
+/// Reduction steps per i32 k-block of the VNNI kernel, a whole number of
+/// quads with `VNNI_K_BLOCK·255·128 < 2³¹`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const VNNI_K_BLOCK: usize = 65_792;
+
+/// The AVX-512 VNNI u8×i8 kernel behind [`Parallel`] and [`Simd`] on hosts
+/// that report `avx512f` and `avx512vnni`.
+///
+/// B is packed once per call into [`PACK_NR`]-column panels of k-quads
+/// (`panel × quad × column × 4` bytes, zero-padded past `k` and `n`), so
+/// one 64-byte load feeds one `vpdpbusd`: 16 columns × 4 reduction steps,
+/// u8 × i8 products summed into 16 i32 lanes. A 4-row × 4-panel register
+/// tile keeps 16 accumulators live across a k-block.
+///
+/// Exactness: a k-block spans at most [`VNNI_K_BLOCK`] reduction steps, so every
+/// partial sum is bounded by `VNNI_K_BLOCK·255·128 < 2³¹` and the i32 lanes never
+/// wrap; each block is then widened and added into the i64 output. Results
+/// equal [`naive_rows`] for every `k` by exact integer arithmetic, whatever
+/// the summation order.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod vnni {
+    use std::arch::x86_64::*;
+
+    use super::{ExecContext, PACK_NR, VNNI_K_BLOCK};
+
+    /// Quads (groups of 4 reduction steps) per k-block.
+    const BLOCK_QUADS: usize = VNNI_K_BLOCK / 4;
+    /// Rows of the register tile.
+    const MR: usize = 4;
+    /// Panels of the register tile.
+    const NP: usize = 4;
+    /// Bytes of one panel quad: [`PACK_NR`] columns × 4 reduction steps.
+    const QUAD_BYTES: usize = PACK_NR * 4;
+
+    /// Proof that the host runs AVX-512 F + VNNI. Only [`detect`] makes
+    /// one, which is the safety obligation of the kernel below.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Isa(());
+
+    /// `Some` when the host reports `avx512f` and `avx512vnni`.
+    pub fn detect() -> Option<Isa> {
+        (std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vnni"))
+        .then_some(Isa(()))
+    }
+
+    /// Packs row-major `k × n` B into panels of k-quads: four rows of B at
+    /// a time, each column's 4 bytes written together.
+    fn pack(k: usize, n: usize, b: &[i8]) -> Vec<i8> {
+        let kq = k.div_ceil(4);
+        let panels = n.div_ceil(PACK_NR);
+        let mut data = vec![0i8; panels * kq * QUAD_BYTES];
+        let zero = vec![0i8; n];
+        for (q, rows) in b.chunks(4 * n).enumerate() {
+            // Rows past `k` in the last quad read as zeros.
+            let [r0, r1, r2, r3]: [&[i8]; 4] =
+                std::array::from_fn(|r| rows.get(r * n..(r + 1) * n).unwrap_or(&zero));
+            for pj in 0..panels {
+                let j0 = pj * PACK_NR;
+                let quad = &mut data[(pj * kq + q) * QUAD_BYTES..][..QUAD_BYTES];
+                for (j, dst) in (j0..n).zip(quad.chunks_exact_mut(4)) {
+                    dst.copy_from_slice(&[r0[j], r1[j], r2[j], r3[j]]);
+                }
+            }
+        }
+        data
+    }
+
+    /// `out = A × B` over the pool: packs B once, then fans row tiles out.
+    /// `out` arrives zero-initialised.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_u8i8(
+        ctx: &ExecContext,
+        isa: Isa,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[u8],
+        b: &[i8],
+        out: &mut [i64],
+    ) {
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        let packed = pack(k, n, b);
+        ctx.for_each_row_tile(out, m, n, |_tile, row_start, nrows, chunk| {
+            let rows = &a[row_start * k..(row_start + nrows) * k];
+            gemm_rows(isa, rows, k, n, &packed, chunk);
+        });
+    }
+
+    /// `out += A × B` for the rows of `a` (`nrows × k`) against packed B.
+    fn gemm_rows(isa: Isa, a: &[u8], k: usize, n: usize, packed: &[i8], out: &mut [i64]) {
+        let kq = k.div_ceil(4);
+        let panels = n.div_ceil(PACK_NR);
+        let nrows = a.len() / k;
+        let mut qb = 0;
+        while qb < kq {
+            let qe = (qb + BLOCK_QUADS).min(kq);
+            let mut pg = 0;
+            while pg < panels {
+                let np = NP.min(panels - pg);
+                let mut i = 0;
+                while i < nrows {
+                    let mr = if i + MR <= nrows { MR } else { 1 };
+                    let mut acc = [[[0i32; PACK_NR]; NP]; MR];
+                    let tile = Tile {
+                        a: &a[i * k..(i + mr) * k],
+                        k,
+                        packed: &packed[pg * kq * QUAD_BYTES..(pg + np) * kq * QUAD_BYTES],
+                        kq,
+                        quads: qb..qe,
+                    };
+                    match (mr, np) {
+                        (MR, 4) => tile.run::<MR, 4>(isa, &mut acc),
+                        (MR, 3) => tile.run::<MR, 3>(isa, &mut acc),
+                        (MR, 2) => tile.run::<MR, 2>(isa, &mut acc),
+                        (MR, _) => tile.run::<MR, 1>(isa, &mut acc),
+                        (_, 4) => tile.run::<1, 4>(isa, &mut acc),
+                        (_, 3) => tile.run::<1, 3>(isa, &mut acc),
+                        (_, 2) => tile.run::<1, 2>(isa, &mut acc),
+                        (_, _) => tile.run::<1, 1>(isa, &mut acc),
+                    }
+                    // Widen the exact i32 block sums into the i64 output.
+                    for (r, acc_row) in acc.iter().enumerate().take(mr) {
+                        let orow = &mut out[(i + r) * n..(i + r + 1) * n];
+                        for (p, lanes) in acc_row.iter().enumerate().take(np) {
+                            let j0 = (pg + p) * PACK_NR;
+                            let cols = &mut orow[j0..(j0 + PACK_NR).min(n)];
+                            for (o, &v) in cols.iter_mut().zip(lanes) {
+                                *o += i64::from(v);
+                            }
+                        }
+                    }
+                    i += mr;
+                }
+                pg += np;
+            }
+            qb = qe;
+        }
+    }
+
+    /// One register tile: up to [`MR`] rows of A against up to [`NP`]
+    /// consecutive panels, over one k-block of quads.
+    struct Tile<'a> {
+        /// The tile's rows of A, each `k` bytes.
+        a: &'a [u8],
+        k: usize,
+        /// The tile's panels, each `kq` quads.
+        packed: &'a [i8],
+        kq: usize,
+        /// The k-block, in quads; at most [`BLOCK_QUADS`] long.
+        quads: std::ops::Range<usize>,
+    }
+
+    impl Tile<'_> {
+        /// Writes the block sums of row `r`, panel `p` to `acc[r][p]`.
+        fn run<const R: usize, const P: usize>(
+            &self,
+            _isa: Isa,
+            acc: &mut [[[i32; PACK_NR]; NP]; MR],
+        ) {
+            assert!(R <= MR && P <= NP, "register tile is {MR}x{NP}");
+            assert_eq!(self.a.len(), R * self.k, "tile rows");
+            assert_eq!(self.packed.len(), P * self.kq * QUAD_BYTES, "tile panels");
+            assert!(self.quads.end <= self.kq && self.quads.len() <= BLOCK_QUADS);
+            // SAFETY: `_isa` proves avx512f + avx512vnni (only `detect`
+            // makes an `Isa`); the asserts above bound every access.
+            unsafe { self.run_vnni::<R, P>(acc) }
+        }
+
+        /// # Safety
+        ///
+        /// The host must support avx512f and avx512vnni, and the slice
+        /// lengths must be those asserted in [`Tile::run`]: then every
+        /// A read (`4q + 4 <= k` for whole quads, a bounded copy for the
+        /// last partial quad) and B read (`(p·kq + q + 1)·64 <=
+        /// packed.len()`) is in bounds.
+        #[target_feature(enable = "avx512f,avx512vnni")]
+        unsafe fn run_vnni<const R: usize, const P: usize>(
+            &self,
+            acc: &mut [[[i32; PACK_NR]; NP]; MR],
+        ) {
+            let (k, kq) = (self.k, self.kq);
+            let whole = k / 4;
+            let mut vacc = [[_mm512_setzero_si512(); P]; R];
+            let mut vb = [_mm512_setzero_si512(); P];
+            let bptr = self.packed.as_ptr();
+            let aptr = self.a.as_ptr();
+            for q in self.quads.start..self.quads.end.min(whole) {
+                for (p, b) in vb.iter_mut().enumerate() {
+                    *b = _mm512_loadu_si512(bptr.add((p * kq + q) * QUAD_BYTES) as *const _);
+                }
+                for (r, row) in vacc.iter_mut().enumerate() {
+                    let word = (aptr.add(r * k + 4 * q) as *const i32).read_unaligned();
+                    let va = _mm512_set1_epi32(word);
+                    for (v, &b) in row.iter_mut().zip(vb.iter()) {
+                        *v = _mm512_dpbusd_epi32(*v, va, b);
+                    }
+                }
+            }
+            if whole < kq && self.quads.contains(&whole) {
+                // The last quad holds `k % 4` real steps: zero-pad A's word
+                // (B's panel is zero-padded already).
+                for (p, b) in vb.iter_mut().enumerate() {
+                    *b = _mm512_loadu_si512(bptr.add((p * kq + whole) * QUAD_BYTES) as *const _);
+                }
+                for (r, row) in vacc.iter_mut().enumerate() {
+                    let mut bytes = [0u8; 4];
+                    bytes[..k - 4 * whole].copy_from_slice(&self.a[r * k + 4 * whole..(r + 1) * k]);
+                    let va = _mm512_set1_epi32(i32::from_le_bytes(bytes));
+                    for (v, &b) in row.iter_mut().zip(vb.iter()) {
+                        *v = _mm512_dpbusd_epi32(*v, va, b);
+                    }
+                }
+            }
+            for (out_row, row) in acc.iter_mut().zip(vacc.iter()) {
+                for (out, v) in out_row.iter_mut().zip(row.iter()) {
+                    _mm512_storeu_si512(out.as_mut_ptr() as *mut _, *v);
+                }
+            }
+        }
+    }
+}
+
+/// Non-x86_64 stand-in: no host ever has the ISA, so the kernel is
+/// unreachable.
+#[cfg(not(target_arch = "x86_64"))]
+mod vnni {
+    use super::ExecContext;
+
+    /// Uninhabited: there is no VNNI off x86_64.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Isa {}
+
+    /// Always `None` off x86_64.
+    pub fn detect() -> Option<Isa> {
+        None
+    }
+
+    /// Unreachable: `isa` cannot exist.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_u8i8(
+        _: &ExecContext,
+        isa: Isa,
+        _: usize,
+        _: usize,
+        _: usize,
+        _: &[u8],
+        _: &[i8],
+        _: &mut [i64],
+    ) {
+        match isa {}
+    }
+}
+
+/// A u8×i8 GEMM kernel: `(ctx, m, k, n, a, b, out)`.
+type U8I8Kernel = fn(&ExecContext, usize, usize, usize, &[u8], &[i8], &mut [i64]);
+
+/// The u8×i8 GEMM of [`Parallel`] and [`Simd`]: the VNNI kernel when `isa`
+/// is `Some`, else the backend's own kernel. Takes the detected feature as
+/// a parameter so tests can run both halves on a VNNI host.
+#[allow(clippy::too_many_arguments)]
+fn u8i8_vnni_or(
+    isa: Option<vnni::Isa>,
+    fallback: U8I8Kernel,
+    ctx: &ExecContext,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u8],
+    b: &[i8],
+    out: &mut [i64],
+) {
+    match isa {
+        Some(isa) => vnni::gemm_u8i8(ctx, isa, m, k, n, a, b, out),
+        None => fallback(ctx, m, k, n, a, b, out),
+    }
+}
+
+/// [`Parallel`]'s u8×i8 kernel without VNNI: the blocked row-tile fan-out.
+fn parallel_u8i8(
+    ctx: &ExecContext,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u8],
+    b: &[i8],
+    out: &mut [i64],
+) {
+    parallel_gemm::<U8I8Gemm>(ctx, m, k, n, a, b, out);
+}
+
+/// [`Simd`]'s u8×i8 kernel without VNNI: AVX2, else the unrolled loop.
+fn simd_u8i8(_: &ExecContext, m: usize, k: usize, n: usize, a: &[u8], b: &[i8], out: &mut [i64]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::try_gemm_u8i8(m, k, n, a, b, out) {
+        return;
+    }
+    unrolled_rows::<U8I8Gemm>(a, b, k, n, 0, m, out);
+}
+
 /// Runtime-detected SIMD kernels: AVX2 on x86_64 hosts that report it, the
-/// portable [`unrolled_rows`] fallback everywhere else. Integer kernels are
-/// bit-exact; f32 is the declared fast-f32 tier (module docs).
+/// portable [`unrolled_rows`] fallback everywhere else, and the VNNI kernel
+/// for u8×i8 where the host has it. Integer kernels are bit-exact; f32 is
+/// the declared fast-f32 tier (module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simd;
 
@@ -1071,7 +1387,7 @@ impl GemmBackend for Simd {
     }
     fn gemm_u8i8(
         &self,
-        _: &ExecContext,
+        ctx: &ExecContext,
         m: usize,
         k: usize,
         n: usize,
@@ -1079,11 +1395,7 @@ impl GemmBackend for Simd {
         b: &[i8],
         out: &mut [i64],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::try_gemm_u8i8(m, k, n, a, b, out) {
-            return;
-        }
-        unrolled_rows::<U8I8Gemm>(a, b, k, n, 0, m, out);
+        u8i8_vnni_or(vnni::detect(), simd_u8i8, ctx, m, k, n, a, b, out);
     }
 }
 
@@ -1444,6 +1756,92 @@ mod tests {
             ctx.gemm_u8i8(m, k, n, &a, &b, &mut out);
             assert_eq!(out, reference, "ctx {:?}", ctx.config());
         }
+    }
+
+    /// Runs `Parallel`'s and `Simd`'s u8×i8 paths, VNNI (when the host has
+    /// it) and fallback, against `Naive` under a 1- and a 3-thread context.
+    fn check_u8i8_paths(m: usize, k: usize, n: usize, a: &[u8], b: &[i8]) {
+        let mut reference = vec![0_i64; m * n];
+        naive_rows::<U8I8Gemm>(a, b, k, n, 0, m, &mut reference);
+        let mut isas = vec![None];
+        isas.extend(vnni::detect().map(Some));
+        for threads in [1usize, 3] {
+            let ctx = ExecContext::new(ExecConfig {
+                threads,
+                tile_rows: 5,
+                ..ExecConfig::default()
+            });
+            for &isa in &isas {
+                let paths: [(&str, U8I8Kernel); 2] =
+                    [("parallel", parallel_u8i8), ("simd", simd_u8i8)];
+                for (name, fallback) in paths {
+                    let mut out = vec![0_i64; m * n];
+                    u8i8_vnni_or(isa, fallback, &ctx, m, k, n, a, b, &mut out);
+                    assert!(
+                        out == reference,
+                        "{name} vnni={} threads={threads} shape={m}x{k}x{n}",
+                        isa.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    fn note_if_no_vnni() {
+        if vnni::detect().is_none() {
+            println!("note: host lacks avx512f + avx512vnni; only the fallback u8xi8 path ran");
+        }
+    }
+
+    #[test]
+    fn u8i8_vnni_and_fallback_match_naive_on_edge_shapes() {
+        note_if_no_vnni();
+        let mut seed = 20;
+        // k covers 1, 3, 5 and 4q ± 1; n is off the 16-column panel width;
+        // m is off the 4-row register tile.
+        for k in [1usize, 3, 4, 5, 7, 9, 63, 65, 129] {
+            for (m, n) in [(1usize, 1usize), (5, 15), (6, 17), (9, 33), (3, 70)] {
+                seed += 1;
+                let mut a: Vec<u8> = sample_i32(m, k, seed)
+                    .iter()
+                    .map(|&v| (v * 2).unsigned_abs() as u8)
+                    .collect();
+                let b: Vec<i8> = sample_i32(k, n, seed + 100)
+                    .iter()
+                    .map(|&v| v as i8)
+                    .collect();
+                // An all-zero row in the middle of the tile.
+                if m > 2 {
+                    a[k..2 * k].fill(0);
+                }
+                check_u8i8_paths(m, k, n, &a, &b);
+            }
+        }
+        // Degenerate shapes leave the zeroed output untouched.
+        check_u8i8_paths(0, 4, 3, &[], &[1; 12]);
+        check_u8i8_paths(2, 0, 3, &[], &[]);
+        check_u8i8_paths(2, 4, 0, &[1; 8], &[]);
+    }
+
+    #[test]
+    fn u8i8_extreme_operands_stay_exact_past_the_i32_block() {
+        note_if_no_vnni();
+        // The block bound itself: every partial sum of a k-block fits i32.
+        assert!(VNNI_K_BLOCK as i64 * 255 * 128 < 1 << 31);
+        assert_eq!(VNNI_K_BLOCK % 4, 0, "a k-block holds whole quads");
+        let (m, n) = (2, 17);
+        // One step past the block, and far enough past it that a single
+        // unblocked i32 accumulator would wrap.
+        for k in [VNNI_K_BLOCK + 1, 2 * VNNI_K_BLOCK + 3] {
+            let a = vec![255_u8; m * k];
+            let b = vec![-128_i8; k * n];
+            check_u8i8_paths(m, k, n, &a, &b);
+            let want = -(k as i64) * 255 * 128;
+            let mut out = vec![0_i64; m * n];
+            ExecContext::parallel().gemm_u8i8(m, k, n, &a, &b, &mut out);
+            assert!(out.iter().all(|&v| v == want), "k={k}");
+        }
+        assert!((2 * VNNI_K_BLOCK + 3) as i64 * 255 * 128 > 1 << 31);
     }
 
     #[test]

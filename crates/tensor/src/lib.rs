@@ -40,8 +40,8 @@
 //! # }
 //! ```
 
-// `unsafe` is denied crate-wide. The single sanctioned exception is the
-// AVX2 kernel module in `exec`, which opts back in with a scoped
+// `unsafe` is denied crate-wide. The sanctioned exceptions are the AVX2 and
+// AVX-512 VNNI kernel modules in `exec`, which opt back in with a scoped
 // `#[allow(unsafe_code)]`: every unsafe function there is `#[target_feature]`
 // and only reachable through safe wrappers that verify the feature with
 // `is_x86_feature_detected!` first.
